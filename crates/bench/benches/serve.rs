@@ -1,7 +1,8 @@
 //! Serving-layer throughput: lock-free snapshot reads under publish
 //! churn (the headline claim of `serve::snapshot` — queries never block
-//! a heal) against a mutex-guarded baseline, plus end-to-end cluster
-//! ticking with two tenant shards.
+//! a heal) against a mutex-guarded baseline, the per-tick state capture
+//! every publish performs, plus end-to-end cluster ticking with two
+//! tenant shards.
 //!
 //! Every benchmark asserts its structural expectations (no torn pairs,
 //! exact per-tick event accounting), so `make bench` doubles as a smoke
@@ -9,8 +10,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
-use selfheal_core::scenario::NetworkEvent;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use selfheal_core::dash::Dash;
+use selfheal_core::scenario::{NetworkEvent, RandomChurn, ScenarioEngine};
+use selfheal_core::snapshot::StateSnapshot;
 use selfheal_core::spec::ScenarioSpec;
+use selfheal_core::state::HealingNetwork;
+use selfheal_graph::generators::barabasi_albert;
 use selfheal_serve::{slot_pair, Cluster};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,6 +80,36 @@ fn bench_snapshot_reads(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `StateSnapshot::capture` of a BA(10000,3) network after 2000
+/// random-churn events (deletes and joins, so component ids are mixed
+/// and the slot range exceeds the initial n) — the work every shard
+/// publish does per tick. The network is built outside the timed loop.
+fn bench_snapshot_capture(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(1));
+
+    let g = barabasi_albert(10_000, 3, &mut StdRng::seed_from_u64(20080124));
+    let mut engine = ScenarioEngine::new(
+        HealingNetwork::new(g, 20080124),
+        Dash,
+        RandomChurn::new(20080124),
+    );
+    assert_eq!(engine.run_events(2000).events, 2000, "churn prefix ran in full");
+    let mut snap = StateSnapshot::default();
+    snap.capture(&engine.net);
+    let total: usize = snap.components.iter().map(|&(_, n)| n).sum();
+    assert_eq!(total, snap.live_count(), "every live node counted once");
+    group.bench_function("snapshot_capture_ba10k", |b| {
+        b.iter(|| {
+            snap.capture(black_box(&engine.net));
+            black_box(snap.components.len())
+        })
+    });
+    group.finish();
+}
+
 const CHURN_SPEC: &str = include_str!("../../../specs/random_churn.scn");
 const EPIDEMIC_SPEC: &str = include_str!("../../../specs/epidemic_sdash.scn");
 
@@ -127,5 +164,10 @@ fn bench_cluster_tick(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_snapshot_reads, bench_cluster_tick);
+criterion_group!(
+    benches,
+    bench_snapshot_reads,
+    bench_snapshot_capture,
+    bench_cluster_tick
+);
 criterion_main!(benches);
