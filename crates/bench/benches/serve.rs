@@ -96,7 +96,11 @@ fn bench_snapshot_capture(c: &mut Criterion) {
         Dash,
         RandomChurn::new(20080124),
     );
-    assert_eq!(engine.run_events(2000).events, 2000, "churn prefix ran in full");
+    assert_eq!(
+        engine.run_events(2000).events,
+        2000,
+        "churn prefix ran in full"
+    );
     let mut snap = StateSnapshot::default();
     snap.capture(&engine.net);
     let total: usize = snap.components.iter().map(|&(_, n)| n).sum();

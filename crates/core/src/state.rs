@@ -281,6 +281,12 @@ impl HealingNetwork {
 
     /// Current component ID of `v` (minimum initial ID broadcast through
     /// its `G'` component).
+    ///
+    /// Every component ID is some node's initial ID, and initial IDs are
+    /// a permutation of `0..n` extended by one fresh rank per join, so
+    /// every ID is below [`total_created`](Self::total_created).
+    /// `StateSnapshot::capture` relies on this to count components in a
+    /// vector indexed by ID.
     pub fn comp_id(&self, v: NodeId) -> u64 {
         self.comp_id[v.index()]
     }

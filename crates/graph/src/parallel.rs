@@ -1,4 +1,4 @@
-//! Thread-parallel graph sweeps.
+//! Thread-parallel graph sweeps and the persistent worker pool.
 //!
 //! The expensive analysis in this workspace is all-pairs BFS (used by the
 //! stretch metric, Fig. 10 of the paper). The graph being swept is frozen
@@ -6,21 +6,29 @@
 //! embarrassingly: sources are distributed over a small pool of scoped
 //! threads with dynamic (atomic-counter) load balancing, and per-thread
 //! partial results are folded through a crossbeam channel.
+//!
+//! One-shot sweeps spawn their threads per call ([`parallel_fold`]).
+//! Short rounds repeated many times — the serving cluster's ticks — run
+//! on a [`WorkerPool`] instead, whose helpers park between rounds. Both
+//! hand out items through the same claim loop.
 
 use crate::csr::Csr;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 // Under `--cfg loom` the dispatch counter, the fan-in channel (via the
-// crossbeam stand-in), and scoped threads are the model checker's mocks,
+// crossbeam stand-in), and threads are the model checker's mocks,
 // making every claim/send/join a schedule point (`make loom-check`).
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(loom)]
-use loom::thread::scope;
+use loom::thread::{scope, spawn, JoinHandle};
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(not(loom))]
-use std::thread::scope;
+use std::thread::{scope, spawn, JoinHandle};
 
 /// A sensible default worker count: available parallelism capped at 8
 /// (the sweeps here saturate memory bandwidth long before 8 cores).
@@ -62,7 +70,7 @@ where
         return acc;
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::bounded::<A>(threads);
+    let (tx, rx) = bounded::<A>(threads);
     scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
@@ -70,19 +78,7 @@ where
             let init = &init;
             let fold = &fold;
             scope.spawn(move || {
-                let mut acc = init();
-                loop {
-                    // relaxed-ok: fetch_add claims each index exactly
-                    // once whatever the interleaving; no payload is
-                    // published through this counter (results travel via
-                    // the channel). Exhaustively checked by
-                    // `crates/graph/tests/loom.rs` (`make loom-check`).
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_items {
-                        break;
-                    }
-                    acc = fold(acc, i);
-                }
+                let acc = claim_loop(next, n_items, init(), fold);
                 // panic-ok: the receiver lives until every worker has
                 // sent (the scope joins workers before `rx` drops), so a
                 // send failure is unreachable short of a poisoned scope.
@@ -96,6 +92,140 @@ where
         }
         total
     })
+}
+
+/// The one dispatch loop: claim indices from `next` until all of
+/// `0..n_items` are handed out, folding each claimed index into `acc`.
+/// Every worker of [`parallel_fold`] and of a [`WorkerPool`] round runs
+/// this, so each index is folded exactly once per round.
+fn claim_loop<A>(
+    next: &AtomicUsize,
+    n_items: usize,
+    mut acc: A,
+    fold: &impl Fn(A, usize) -> A,
+) -> A {
+    loop {
+        // relaxed-ok: fetch_add claims each index exactly once whatever
+        // the interleaving; no payload is published through this counter
+        // (results travel via the channel). Exhaustively checked by
+        // `crates/graph/tests/loom.rs` (`make loom-check`).
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n_items {
+            return acc;
+        }
+        acc = fold(acc, i);
+    }
+}
+
+/// What a [`WorkerPool`] shares with its helpers: the round's dispatch
+/// counter and the fold every round runs.
+struct Job<A> {
+    next: AtomicUsize,
+    fold: Box<dyn Fn(A, usize) -> A + Send + Sync>,
+}
+
+/// A persistent pool for [`parallel_fold`]-style rounds that repeat
+/// many times over the same fold, such as the serving cluster's ticks.
+///
+/// The pool keeps `threads − 1` helper threads parked on a channel;
+/// the thread calling [`WorkerPool::run`] claims items too. A round
+/// sends one wake message per helper and receives one partial
+/// accumulator back from each, and allocates nothing. Idle helpers
+/// block in `recv` rather than spin, so they leave the cores to other
+/// work between rounds. Dropping the pool hangs up the wake channels
+/// and joins every helper.
+///
+/// Each worker starts a round from `A::default()`, so as with
+/// [`parallel_fold`] the result is independent of the worker count
+/// only when `fold` and `reduce` are commutative and associative.
+pub struct WorkerPool<A> {
+    job: Arc<Job<A>>,
+    wake: Vec<Sender<usize>>,
+    done: Receiver<std::thread::Result<A>>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+impl<A: Default + Send + 'static> WorkerPool<A> {
+    /// A pool of `threads` workers (min 1): the caller plus
+    /// `threads − 1` helpers, each running `fold` on the items it
+    /// claims.
+    pub fn new(threads: usize, fold: impl Fn(A, usize) -> A + Send + Sync + 'static) -> Self {
+        let job = Arc::new(Job {
+            next: AtomicUsize::new(0),
+            fold: Box::new(fold),
+        });
+        let helpers = threads.max(1) - 1;
+        let (done_tx, done) = bounded(helpers);
+        let mut wake = Vec::with_capacity(helpers);
+        let mut handles = Vec::with_capacity(helpers);
+        for _ in 0..helpers {
+            let (wake_tx, wake_rx) = bounded::<usize>(1);
+            let (job, done_tx) = (Arc::clone(&job), done_tx.clone());
+            handles.push(spawn(move || {
+                while let Ok(n_items) = wake_rx.recv() {
+                    let part = catch_unwind(AssertUnwindSafe(|| {
+                        claim_loop(&job.next, n_items, A::default(), &job.fold)
+                    }));
+                    if done_tx.send(part).is_err() {
+                        return;
+                    }
+                }
+            }));
+            wake.push(wake_tx);
+        }
+        WorkerPool {
+            job,
+            wake,
+            done,
+            helpers: handles,
+        }
+    }
+
+    /// Run one round: fold every item in `0..n_items` across the
+    /// workers, then combine the partials with `reduce`.
+    ///
+    /// A panic in `fold` on any worker, or in `reduce`, is re-raised
+    /// here once every helper has reported, so the pool stays usable
+    /// for the next round.
+    pub fn run(&mut self, n_items: usize, reduce: impl Fn(A, A) -> A) -> A {
+        // relaxed-ok: the last round's final claims happen-before the
+        // partials it received, and each helper receives this round's
+        // wake message (a channel hand-off) before it claims again.
+        self.job.next.store(0, Ordering::Relaxed);
+        let mut woken = 0;
+        for wake in &self.wake {
+            woken += usize::from(wake.send(n_items).is_ok());
+        }
+        let job = &self.job;
+        let mut total = catch_unwind(AssertUnwindSafe(|| {
+            claim_loop(&job.next, n_items, A::default(), &job.fold)
+        }));
+        for _ in 0..woken {
+            let Ok(part) = self.done.recv() else { break };
+            total = match (total, part) {
+                (Ok(t), Ok(p)) => catch_unwind(AssertUnwindSafe(|| reduce(t, p))),
+                (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+            };
+        }
+        total.unwrap_or_else(|e| resume_unwind(e))
+    }
+}
+
+impl<A> Drop for WorkerPool<A> {
+    fn drop(&mut self) {
+        // Hanging up ends each helper's `recv` loop.
+        self.wake.clear();
+        // While unwinding (as when the model checker tears a run down and
+        // its join panics), skip the joins: a second panic would abort
+        // the process. The helpers exit on their own after the hang-up.
+        if std::thread::panicking() {
+            return;
+        }
+        for helper in self.helpers.drain(..) {
+            // A helper never unwinds: fold panics are caught per round.
+            let _ = helper.join();
+        }
+    }
 }
 
 /// Map every item in `0..n_items` through `map` on a pool of `threads`
@@ -302,6 +432,72 @@ mod tests {
     fn map_reduce_zero_items() {
         let total = parallel_map_reduce(0, 4, 7u64, |_| 1, |a, b| a.max(b));
         assert_eq!(total, 7);
+    }
+
+    #[test]
+    fn pool_rounds_match_serial_for_any_thread_count() {
+        // Histogram-style counting, as in the `parallel_fold` test above.
+        let fold = |mut acc: [u64; 10], i: usize| {
+            acc[i % 10] += i as u64;
+            acc
+        };
+        let add = |mut a: [u64; 10], b: [u64; 10]| {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x += y;
+            }
+            a
+        };
+        for threads in [1, 2, 4] {
+            let mut pool = WorkerPool::new(threads, fold);
+            // Rounds of different sizes reuse the same helpers.
+            for n in [100, 0, 3, 100] {
+                let serial = (0..n).fold([0; 10], fold);
+                assert_eq!(pool.run(n, add), serial, "{threads} threads, {n} items");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_reraises_a_helper_panic_and_stays_usable() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, Mutex, OnceLock};
+        use std::time::Duration;
+        // The rounds run on their own thread, so a hung fan-in fails the
+        // test by timeout. Until a helper has claimed an item, an item on
+        // the calling thread waits for the helper's message, so a helper
+        // meets the panic in every schedule; only its first item panics.
+        let caller = Arc::new(OnceLock::new());
+        let me = Arc::clone(&caller);
+        let helper_claimed = AtomicBool::new(false);
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        let claimed_rx = Mutex::new(claimed_rx);
+        let mut pool = WorkerPool::new(2, move |acc: u64, _| {
+            if me.get() == Some(&std::thread::current().id()) {
+                if !helper_claimed.load(Ordering::SeqCst) {
+                    let rx = claimed_rx.lock().expect("only the caller waits");
+                    rx.recv_timeout(Duration::from_secs(60)).ok();
+                }
+            } else if !helper_claimed.swap(true, Ordering::SeqCst) {
+                claimed_tx.send(()).ok();
+                panic!("item failed on a helper");
+            }
+            acc + 1
+        });
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            caller.set(std::thread::current().id()).ok();
+            let first = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(2, |a, b| a + b)));
+            let message = first
+                .err()
+                .and_then(|e| e.downcast_ref::<&str>().map(|m| m.to_string()));
+            let second = pool.run(4, |a, b| a + b);
+            tx.send((message, second)).ok();
+        });
+        let (message, second) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a helper panic must not hang the round");
+        assert_eq!(message.as_deref(), Some("item failed on a helper"));
+        assert_eq!(second, 4, "the next round folds every item");
     }
 
     #[test]

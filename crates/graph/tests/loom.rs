@@ -7,7 +7,10 @@
 //!   repair concurrently and `clone` snapshots the hints mid-repair;
 //! - `parallel_fold`'s work dispatch: the relaxed `fetch_add` counter
 //!   hands every item to exactly one worker, and the crossbeam fan-in
-//!   delivers every partial accumulator.
+//!   delivers every partial accumulator;
+//! - `WorkerPool`'s rounds: the same claim loop over a counter reset
+//!   between rounds, the per-helper wake hand-off, the fan-in of one
+//!   partial per helper, and the hang-up that joins the helpers on drop.
 //!
 //! The hint *updates* (`fetch_max`/`fetch_min` in `DegreeIndex::insert`)
 //! take `&mut Graph`, so they cannot race queries by construction; what
@@ -17,7 +20,7 @@
 
 use std::sync::Arc;
 
-use selfheal_graph::parallel::parallel_fold;
+use selfheal_graph::parallel::{parallel_fold, WorkerPool};
 use selfheal_graph::{Graph, NodeId};
 
 /// Star K1,3 with the hub removed and one fresh edge: true max degree 1
@@ -98,6 +101,38 @@ fn parallel_fold_dispatch_claims_each_item_once() {
     assert!(report.schedules > 1, "workers must actually race");
 }
 
+/// `workers` workers run `rounds` consecutive rounds over `items`
+/// items, then the pool drops. Every round must fold each item exactly once
+/// (so every helper's partial arrived), and the drop must join every
+/// helper — a helper left blocked would be reported as a deadlock.
+fn pool_rounds(workers: usize, rounds: usize, items: usize) -> loom::Report {
+    loom::model(move || {
+        let mut pool = WorkerPool::new(workers, |mut acc: Vec<usize>, i| {
+            acc.push(i);
+            acc
+        });
+        for _ in 0..rounds {
+            let mut claimed = pool.run(items, |mut a, mut b| {
+                a.append(&mut b);
+                a
+            });
+            claimed.sort_unstable();
+            assert_eq!(claimed, (0..items).collect::<Vec<_>>());
+        }
+        drop(pool);
+    })
+}
+
+#[test]
+fn worker_pool_rounds_claim_each_item_once_and_drop_joins() {
+    let report = pool_rounds(2, 2, 3);
+    println!(
+        "loom WorkerPool rounds: {} interleavings explored, {} pruned, max depth {}",
+        report.schedules, report.pruned, report.max_depth
+    );
+    assert!(report.schedules > 1, "caller and helper must actually race");
+}
+
 /// The default tier above keeps `make ci` in seconds; the wider
 /// configurations below are opt-in, mirroring `verify --full`:
 /// `make loom-check-full` (i.e. `LOOM_FULL=1`).
@@ -165,4 +200,22 @@ fn full_parallel_fold_three_workers() {
         "loom parallel_fold dispatch (full, 3 workers): {} interleavings explored, {} pruned, max depth {}",
         report.schedules, report.pruned, report.max_depth
     );
+}
+
+#[test]
+fn full_worker_pool_three_workers() {
+    if !full_tier() {
+        return;
+    }
+    // Two rounds over three items at three workers exceed the explorer's
+    // run budget; one round races every item across all three workers,
+    // and two single-item rounds race the reset against both helpers.
+    for (rounds, items) in [(1, 3), (2, 1)] {
+        let report = pool_rounds(3, rounds, items);
+        println!(
+            "loom WorkerPool (full, 3 workers, {rounds} rounds x {items} items): \
+             {} interleavings explored, {} pruned, max depth {}",
+            report.schedules, report.pruned, report.max_depth
+        );
+    }
 }

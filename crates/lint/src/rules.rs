@@ -145,8 +145,9 @@ pub fn check(path: &str, lines: &[Line]) -> Vec<Diagnostic> {
             push(
                 i,
                 "dispatch-loop",
-                "hand-rolled atomic work dispatch belongs in graph::parallel::parallel_fold; \
-                 a counter that is not a dispatch loop needs `// dispatch-ok: <why>`"
+                "hand-rolled atomic work dispatch belongs in graph::parallel (parallel_fold, \
+                 or WorkerPool for repeated rounds); a counter that is not a dispatch loop \
+                 needs `// dispatch-ok: <why>`"
                     .into(),
             );
         }

@@ -1,5 +1,5 @@
 //! Dispatch-loop rule: violation — a hand-rolled work-dispatch loop
-//! that should be `graph::parallel::parallel_fold`.
+//! that belongs in `graph::parallel` (`parallel_fold` or `WorkerPool`).
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub fn drain(next: &AtomicUsize, n: usize) {

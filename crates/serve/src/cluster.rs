@@ -1,6 +1,6 @@
 //! The sharded scheduler: one [`Shard`] per tenant, ticked in parallel
-//! over `graph::parallel`'s dynamically load-balanced pool, with
-//! per-tenant lock-free query handles.
+//! on a persistent `graph::parallel::WorkerPool` with dynamic load
+//! balancing, and per-tenant lock-free query handles.
 //!
 //! # Determinism contract
 //!
@@ -11,6 +11,11 @@
 //! and the same per-tenant event streams, the final per-tenant reports
 //! ([`Cluster::finish`]) are byte-identical for any worker count —
 //! pinned by `tests/serve.rs` and the `make serve-check` smoke gate.
+//!
+//! The pool's helpers are spawned at the first multi-worker tick and
+//! park between ticks; ticks take turns on it, so concurrent `tick`
+//! callers are safe. With one worker or one shard, `tick` runs the
+//! shards inline and spawns no thread.
 
 use crate::proto::{answer_body, parse_request, Query, Request};
 use crate::shard::{Shard, ShardSnapshot};
@@ -18,16 +23,28 @@ use crate::snapshot::SnapshotReader;
 use parking_lot::Mutex;
 use selfheal_core::scenario::NetworkEvent;
 use selfheal_core::spec::ScenarioSpec;
-use selfheal_graph::parallel::parallel_fold;
+use selfheal_graph::parallel::WorkerPool;
 use std::path::Path;
+use std::sync::Arc;
+
+/// Per-tick `(applied, skipped)` event counts.
+type Counts = (u64, u64);
+
+fn add(x: Counts, y: Counts) -> Counts {
+    (x.0 + y.0, x.1 + y.1)
+}
 
 /// A set of tenant shards behind one scheduler.
 pub struct Cluster {
-    shards: Vec<Mutex<Shard>>,
+    /// Shared with the pool's helpers, which tick shards by index.
+    shards: Arc<Vec<Mutex<Shard>>>,
     tenants: Vec<String>,
     /// Query handles, index-parallel to `shards`: reads never lock.
     readers: Vec<SnapshotReader<ShardSnapshot>>,
     threads: usize,
+    /// Built at the first multi-worker tick, dropped by `add_spec`. The
+    /// lock serializes ticks.
+    pool: Mutex<Option<WorkerPool<Counts>>>,
 }
 
 impl Cluster {
@@ -35,10 +52,11 @@ impl Cluster {
     #[must_use]
     pub fn new(threads: usize) -> Cluster {
         Cluster {
-            shards: Vec::new(),
+            shards: Arc::default(),
             tenants: Vec::new(),
             readers: Vec::new(),
             threads: threads.max(1),
+            pool: Mutex::new(None),
         }
     }
 
@@ -56,8 +74,13 @@ impl Cluster {
             return Err(format!("tenant '{tenant}' is already being served"));
         }
         let shard = Shard::from_spec(tenant, spec)?;
+        // Joining the helpers releases their handles on the shards; the
+        // next tick builds a pool sized for the new shard count.
+        *self.pool.get_mut() = None;
+        // panic-ok: the pool just dropped held the only other handle.
+        let shards = Arc::get_mut(&mut self.shards).expect("no pool holds the shards");
         self.readers.push(shard.reader());
-        self.shards.push(Mutex::new(shard));
+        shards.push(Mutex::new(shard));
         self.tenants.push(tenant.to_string());
         Ok(())
     }
@@ -159,16 +182,20 @@ impl Cluster {
     /// Returns the cluster-wide `(applied, skipped)` counts — a
     /// commutative reduction, so they too are worker-count-invariant.
     pub fn tick(&self) -> (u64, u64) {
-        parallel_fold(
-            self.shards.len(),
-            self.threads,
-            || (0u64, 0u64),
-            |acc, i| {
-                let (a, s) = self.shards[i].lock().tick();
-                (acc.0 + a, acc.1 + s)
-            },
-            |x, y| (x.0 + y.0, x.1 + y.1),
-        )
+        let workers = self.threads.min(self.shards.len());
+        if workers <= 1 {
+            return self
+                .shards
+                .iter()
+                .map(|s| s.lock().tick())
+                .fold((0, 0), add);
+        }
+        let mut pool = self.pool.lock();
+        let pool = pool.get_or_insert_with(|| {
+            let shards = Arc::clone(&self.shards);
+            WorkerPool::new(workers, move |acc, i| add(acc, shards[i].lock().tick()))
+        });
+        pool.run(self.shards.len(), add)
     }
 
     /// Total events queued and not yet applied, across all shards.
@@ -197,7 +224,7 @@ impl Cluster {
     #[must_use]
     pub fn finish(&self) -> String {
         let mut out = String::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             out.push_str(&shard.lock().finish());
         }
         out

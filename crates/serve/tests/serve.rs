@@ -142,6 +142,90 @@ fn final_reports_are_byte_identical_across_worker_counts() {
     );
 }
 
+/// A fixed stream over the initial ids `0..n` only, so every event is
+/// valid at submit time however far ticking has got.
+fn fixed_stream(n: u64, len: usize, salt: u64) -> Vec<NetworkEvent> {
+    let mut x = salt | 1;
+    (0..len)
+        .map(|k| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = |shift: u32| NodeId(((x >> shift) % n) as u32);
+            match k % 3 {
+                0 => NetworkEvent::Delete(id(11)),
+                1 => NetworkEvent::DeleteBatch(vec![id(23), id(37)]),
+                _ => NetworkEvent::Join {
+                    neighbors: vec![id(7), id(29)],
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_ticks_and_a_late_tenant_match_a_serial_replay() {
+    let early = [
+        ("churn", fixed_stream(48, 30, 0xC1)),
+        ("epidemic", fixed_stream(64, 30, 0xE1)),
+    ];
+    let late = [
+        ("churn", fixed_stream(48, 60, 0xC2)),
+        ("epidemic", fixed_stream(64, 60, 0xE2)),
+        ("late", fixed_stream(48, 60, 0x1A)),
+    ];
+
+    // Two workers: tick the first two tenants, add a third once the pool
+    // is running, then two threads tick while a third submits.
+    let mut cluster = two_tenant_cluster(2);
+    for (tenant, events) in &early {
+        for event in events {
+            cluster.submit(tenant, event.clone()).unwrap();
+            cluster.tick();
+        }
+    }
+    cluster.add_spec("late", &spec(CHURN_SPEC)).unwrap();
+    let submitting = std::sync::atomic::AtomicBool::new(true);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while submitting.load(std::sync::atomic::Ordering::Acquire) {
+                    cluster.tick();
+                }
+            });
+        }
+        s.spawn(|| {
+            for k in 0..60 {
+                for (tenant, events) in &late {
+                    cluster.submit(tenant, events[k].clone()).unwrap();
+                }
+            }
+            submitting.store(false, std::sync::atomic::Ordering::Release);
+        });
+    });
+    cluster.run_to_quiescence();
+    let concurrent = cluster.finish();
+
+    let mut serial = two_tenant_cluster(1);
+    serial.add_spec("late", &spec(CHURN_SPEC)).unwrap();
+    for (tenant, events) in early.iter().chain(&late) {
+        for event in events {
+            serial.submit(tenant, event.clone()).unwrap();
+        }
+    }
+    serial.run_to_quiescence();
+    assert_eq!(
+        concurrent,
+        serial.finish(),
+        "2-worker concurrent vs 1-worker serial"
+    );
+    assert!(concurrent.contains("tenant late:"));
+    assert!(
+        !concurrent.contains("VIOLATION"),
+        "theorem audit must stay clean:\n{concurrent}"
+    );
+}
+
 #[test]
 fn concurrent_snapshot_readers_never_block_or_tear_during_a_soak() {
     let cluster = two_tenant_cluster(4);
