@@ -178,14 +178,12 @@ loom-check:
 	RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p loom
 	RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-graph --test loom -- --nocapture
 	RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-bench --test loom -- --nocapture
-	RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-serve --test loom -- --nocapture
 
 ## Opt-in full tier: 3-thread models (tens of thousands of
 ## interleavings, ~10s).
 loom-check-full:
 	LOOM_FULL=1 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-graph --test loom -- --nocapture
 	LOOM_FULL=1 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-bench --test loom -- --nocapture
-	LOOM_FULL=1 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-serve --test loom -- --nocapture
 
 ## API docs for the workspace crates only.
 doc:

@@ -1,15 +1,13 @@
-//! Serving-layer throughput: lock-free snapshot reads under publish
-//! churn (the headline claim of `serve::snapshot` — queries never block
-//! a heal) against a mutex-guarded baseline, the per-tick state capture
-//! every publish performs, plus end-to-end cluster ticking with two
-//! tenant shards.
+//! Serving-layer throughput: snapshot reads under publish churn (the
+//! claim of `serve::snapshot` — queries never wait on a heal), the
+//! per-tick state capture every publish performs, plus end-to-end
+//! cluster ticking with two tenant shards.
 //!
 //! Every benchmark asserts its structural expectations (no torn pairs,
 //! exact per-tick event accounting), so `make bench` doubles as a smoke
 //! gate for the serving crate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::dash::Dash;
@@ -23,59 +21,34 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Snapshot-read cost while a publisher churns as fast as it can: the
-/// epoch-validated double-buffer read versus taking a mutex around the
-/// same pair. The assert catches torn reads, so this is also a stress
-/// test of the protocol the loom model proves.
+/// Snapshot-read cost while a publisher churns as fast as it can. The
+/// assert catches torn reads, so this is also a stress test of the
+/// slot.
 fn bench_snapshot_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
 
-    {
-        let (mut writer, reader) = slot_pair((0u64, 0u64), (0u64, 0u64));
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let publisher = std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !flag.load(Ordering::Acquire) {
-                i += 1;
-                writer.publish(|buf| *buf = (i, i));
-            }
-        });
-        group.bench_function("snapshot_read_under_churn", |b| {
-            b.iter(|| {
-                let (epoch, (x, y)) = reader.read(|pair| *pair);
-                assert_eq!(x, y, "torn read at epoch {epoch}");
-                black_box(epoch)
-            })
-        });
-        stop.store(true, Ordering::Release);
-        let _ = publisher.join();
-    }
-
-    {
-        let shared = Arc::new(Mutex::new((0u64, 0u64)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (pair, flag) = (shared.clone(), stop.clone());
-        let publisher = std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !flag.load(Ordering::Acquire) {
-                i += 1;
-                *pair.lock() = (i, i);
-            }
-        });
-        group.bench_function("mutex_read_under_churn", |b| {
-            b.iter(|| {
-                let (x, y) = *shared.lock();
-                assert_eq!(x, y);
-                black_box(x)
-            })
-        });
-        stop.store(true, Ordering::Release);
-        let _ = publisher.join();
-    }
+    let (mut writer, reader) = slot_pair((0u64, 0u64), (0u64, 0u64));
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = stop.clone();
+    let publisher = std::thread::spawn(move || {
+        let mut i = 0u64;
+        while !flag.load(Ordering::Acquire) {
+            i += 1;
+            writer.publish(|buf| *buf = (i, i));
+        }
+    });
+    group.bench_function("snapshot_read_under_churn", |b| {
+        b.iter(|| {
+            let (epoch, (x, y)) = reader.read(|pair| *pair);
+            assert_eq!(x, y, "torn read at epoch {epoch}");
+            black_box(epoch)
+        })
+    });
+    stop.store(true, Ordering::Release);
+    let _ = publisher.join();
 
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! The serving layer ([`selfheal-serve`]) answers read-mostly topology
 //! queries (`components`, `degree`, `gprime-edges`, `stats`) without
 //! blocking heals, by republishing a [`StateSnapshot`] of each shard's
-//! [`HealingNetwork`] every epoch into a lock-free double buffer. That
+//! [`HealingNetwork`] every epoch into a reused snapshot slot. That
 //! makes capture a hot path: [`StateSnapshot::capture`] therefore runs
 //! in linear time with no sort and reuses every internal allocation, so
 //! steady-state republishing is allocation-free once the vectors have

@@ -251,7 +251,7 @@ fn family_rank_command(opts: &Options) -> ! {
 
 /// The `serve-bench` subcommand (E13): the healing-as-a-service soak —
 /// four tenant shards under deterministic churn streams with snapshot
-/// readers hammering the lock-free slots throughout. The summary table
+/// readers hammering the snapshot slots throughout. The summary table
 /// goes to stdout byte-identically for any `--threads` value (`make
 /// serve-check` pins the quick tier against a golden at 1/2/8 workers);
 /// throughput goes to stderr to keep the golden stable. Not part of

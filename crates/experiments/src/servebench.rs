@@ -5,8 +5,8 @@
 //! deterministic churn stream (single deletions and two-neighbor
 //! joins, sampled from the tenant's *published* snapshots, with a
 //! population band so the network neither empties nor explodes),
-//! while dedicated threads hammer the lock-free snapshot readers the
-//! whole time. The soak ends with `run_to_quiescence` and a full
+//! while dedicated threads hammer the snapshot readers the whole
+//! time. The soak ends with `run_to_quiescence` and a full
 //! finalize — end-of-run theorem checks included.
 //!
 //! Everything on stdout is deterministic in (specs, seed, scale): the

@@ -1,6 +1,6 @@
 //! The sharded scheduler: one [`Shard`] per tenant, ticked in parallel
 //! on a persistent `graph::parallel::WorkerPool` with dynamic load
-//! balancing, and per-tenant lock-free query handles.
+//! balancing, and per-tenant query handles that never wait on a heal.
 //!
 //! # Determinism contract
 //!
@@ -17,15 +17,15 @@
 //! callers are safe. With one worker or one shard, `tick` runs the
 //! shards inline and spawns no thread.
 
+use crate::lock;
 use crate::proto::{answer_body, parse_request, Query, Request};
 use crate::shard::{Shard, ShardSnapshot};
 use crate::snapshot::SnapshotReader;
-use parking_lot::Mutex;
 use selfheal_core::scenario::NetworkEvent;
 use selfheal_core::spec::ScenarioSpec;
 use selfheal_graph::parallel::WorkerPool;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-tick `(applied, skipped)` event counts.
 type Counts = (u64, u64);
@@ -39,7 +39,8 @@ pub struct Cluster {
     /// Shared with the pool's helpers, which tick shards by index.
     shards: Arc<Vec<Mutex<Shard>>>,
     tenants: Vec<String>,
-    /// Query handles, index-parallel to `shards`: reads never lock.
+    /// Query handles, index-parallel to `shards`: reads take no shard
+    /// lock, so they never wait on a tick.
     readers: Vec<SnapshotReader<ShardSnapshot>>,
     threads: usize,
     /// Built at the first multi-worker tick, dropped by `add_spec`. The
@@ -76,7 +77,7 @@ impl Cluster {
         let shard = Shard::from_spec(tenant, spec)?;
         // Joining the helpers releases their handles on the shards; the
         // next tick builds a pool sized for the new shard count.
-        *self.pool.get_mut() = None;
+        self.pool = Mutex::new(None);
         // panic-ok: the pool just dropped held the only other handle.
         let shards = Arc::get_mut(&mut self.shards).expect("no pool holds the shards");
         self.readers.push(shard.reader());
@@ -160,17 +161,18 @@ impl Cluster {
     /// Enqueue one event on a tenant's shard.
     pub fn submit(&self, tenant: &str, event: NetworkEvent) -> Result<(), String> {
         let i = self.index_of(tenant)?;
-        self.shards[i].lock().submit(event)
+        lock(&self.shards[i]).submit(event)
     }
 
-    /// A lock-free query handle for one tenant — cloneable and usable
-    /// from any thread while ticks run.
+    /// A query handle for one tenant — cloneable and usable from any
+    /// thread while ticks run.
     pub fn reader(&self, tenant: &str) -> Result<SnapshotReader<ShardSnapshot>, String> {
         Ok(self.readers[self.index_of(tenant)?].clone())
     }
 
-    /// Answer a query from the tenant's *published* snapshot (never
-    /// blocks a heal; at most one epoch stale).
+    /// Answer a query from the tenant's *published* snapshot: the one
+    /// current when the read began, tagged with its epoch. Never waits
+    /// on a heal.
     pub fn query(&self, tenant: &str, query: Query) -> Result<String, String> {
         let i = self.index_of(tenant)?;
         let (epoch, body) = self.readers[i].read(|snap| answer_body(query, snap));
@@ -184,16 +186,12 @@ impl Cluster {
     pub fn tick(&self) -> (u64, u64) {
         let workers = self.threads.min(self.shards.len());
         if workers <= 1 {
-            return self
-                .shards
-                .iter()
-                .map(|s| s.lock().tick())
-                .fold((0, 0), add);
+            return self.shards.iter().map(|s| lock(s).tick()).fold((0, 0), add);
         }
-        let mut pool = self.pool.lock();
+        let mut pool = lock(&self.pool);
         let pool = pool.get_or_insert_with(|| {
             let shards = Arc::clone(&self.shards);
-            WorkerPool::new(workers, move |acc, i| add(acc, shards[i].lock().tick()))
+            WorkerPool::new(workers, move |acc, i| add(acc, lock(&shards[i]).tick()))
         });
         pool.run(self.shards.len(), add)
     }
@@ -201,7 +199,7 @@ impl Cluster {
     /// Total events queued and not yet applied, across all shards.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pending()).sum()
+        self.shards.iter().map(|s| lock(s).pending()).sum()
     }
 
     /// Tick until no shard has pending events. Returns the total
@@ -225,7 +223,7 @@ impl Cluster {
     pub fn finish(&self) -> String {
         let mut out = String::new();
         for shard in self.shards.iter() {
-            out.push_str(&shard.lock().finish());
+            out.push_str(&lock(shard).finish());
         }
         out
     }

@@ -3,15 +3,15 @@
 //! Healing-as-a-service: many independent spec-built healing engines —
 //! one shard per tenant — behind a sharded scheduler, ingesting failure
 //! events over a line protocol and answering topology queries from
-//! lock-free snapshots while heals proceed.
+//! epoch-stamped snapshots that never wait on a heal.
 //!
 //! The paper's model is a batch event loop; the ROADMAP north star is a
 //! long-lived, multi-tenant service. This crate is that serving layer:
 //!
-//! - [`snapshot`] — the headline mechanism: an epoch-stamped,
-//!   double-buffered [`SnapSlot`](snapshot::SnapSlot) published with
-//!   atomic swaps, so reads never lock and never block a heal (the
-//!   publish/read protocol is model-checked in `tests/loom.rs`);
+//! - [`snapshot`] — the read path: each shard publishes an
+//!   epoch-stamped `Arc` of its state, swapped under a mutex held only
+//!   for the swap, so a read never waits on a heal and a publish never
+//!   waits on a read;
 //! - [`shard`] — one tenant's engine + queue + metrics + auditor, with
 //!   a panic-free request path (hostile streams are rejected or
 //!   skipped, never fed to the engine's no-progress panic);
@@ -37,4 +37,13 @@ pub mod snapshot;
 pub use cluster::Cluster;
 pub use proto::{answer, parse_request, Query, Request};
 pub use shard::{Shard, ShardSnapshot, MAX_BATCH};
-pub use snapshot::{slot_pair, SnapSlot, SnapshotReader, SnapshotWriter};
+pub use snapshot::{slot_pair, SnapshotReader, SnapshotWriter};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it, so
+/// one panicking tick or read does not lock every later caller out of
+/// a shard or snapshot slot.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -156,8 +156,8 @@ pub fn answer(query: Query, epoch: usize, snap: &ShardSnapshot) -> String {
     format!("epoch {epoch} {}", answer_body(query, snap))
 }
 
-/// The answer text without the epoch prefix — what a lock-free read
-/// closure renders before the validated epoch is known.
+/// The answer text without the epoch prefix — what a snapshot read
+/// closure renders; the read returns the epoch alongside it.
 #[must_use]
 pub fn answer_body(query: Query, snap: &ShardSnapshot) -> String {
     let mut out = String::new();

@@ -100,7 +100,7 @@ impl Shard {
         &self.tenant
     }
 
-    /// A cloneable lock-free query handle for this shard.
+    /// A cloneable query handle for this shard.
     pub fn reader(&self) -> SnapshotReader<ShardSnapshot> {
         self.reader.clone()
     }

@@ -15,7 +15,7 @@
 //! - [`metrics`] — statistics, stretch, tables,
 //! - [`experiments`] — the harness regenerating every figure of the paper,
 //! - [`serve`] — healing-as-a-service: tenant shards behind a line
-//!   protocol with lock-free snapshot queries.
+//!   protocol with snapshot queries that never wait on a heal.
 //!
 //! # Example
 //! ```
