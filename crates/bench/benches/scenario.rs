@@ -1,6 +1,7 @@
 //! Scenario-engine throughput: run-to-empty rounds/sec for DASH under
-//! MaxNode at n ∈ {1024, 4096}, pinning the allocation-free hot loop's
-//! win in numbers.
+//! MaxNode (single deletions) and under RackPartition(8) (batch
+//! deletions) at n ∈ {1024, 4096}, pinning the allocation-free hot
+//! loops' wins in numbers.
 //!
 //! The `propagation` group isolates the structural change: the
 //! epoch-stamped scratch-buffer BFS inside
@@ -15,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfheal_core::attack::MaxNode;
+use selfheal_core::attack::{MaxNode, RackPartition};
 use selfheal_core::dash::Dash;
 use selfheal_core::scenario::ScenarioEngine;
 use selfheal_core::state::HealingNetwork;
@@ -43,6 +44,25 @@ fn bench_run_to_empty(c: &mut Criterion) {
                         let mut engine = ScenarioEngine::new(net, Dash, MaxNode);
                         let report = engine.run_to_empty();
                         assert_eq!(report.rounds, n as u64, "sweep must run to empty");
+                        black_box(report.total_messages)
+                    },
+                );
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("dash_rack_partition_run_to_empty", n),
+            &n,
+            |b, &n| {
+                b.iter_with_setup(
+                    || {
+                        let g = barabasi_albert(n, 3, &mut StdRng::seed_from_u64(7));
+                        HealingNetwork::new(g, 7)
+                    },
+                    |net| {
+                        let mut engine = ScenarioEngine::new(net, Dash, RackPartition::new(7, 8));
+                        let report = engine.run_to_empty();
+                        assert_eq!(report.deletions, n as u64, "sweep must run to empty");
+                        assert!(report.rounds < n as u64, "racks must batch deletions");
                         black_box(report.total_messages)
                     },
                 );

@@ -11,13 +11,22 @@
 //! This test installs a counting global allocator and holds the loop to
 //! that claim at n = 4096: after a warm-up phase, whole blocks of
 //! healing events must allocate *nothing* on this thread.
+//!
+//! The claim covers every event kind, one test each:
+//! - `Delete`: `steady_state_heal_loop_allocates_nothing`;
+//! - `DeleteBatch`: `steady_state_rack_partition_allocates_nothing`
+//!   (the engine's per-victim contexts and outcomes, and the source's
+//!   borrowed payload);
+//! - `Join`: `steady_state_churn_allocates_only_for_new_node_slots`,
+//!   where a join may allocate only to grow the per-node arrays.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_bench::alloc::{thread_allocations, CountingAlloc};
-use selfheal_core::attack::MaxNode;
+use selfheal_core::attack::{MaxNode, RackPartition};
+use selfheal_core::batch::independent_victims;
 use selfheal_core::dash::Dash;
-use selfheal_core::scenario::ScenarioEngine;
+use selfheal_core::scenario::{EventKind, NetworkEvent, RandomChurn, ScenarioEngine};
 use selfheal_core::state::HealingNetwork;
 use selfheal_graph::generators::barabasi_albert;
 
@@ -77,4 +86,96 @@ fn steady_state_heal_loop_allocates_nothing() {
     // The loop really was healing: finish the sweep and check emptiness.
     while engine.step().is_some() {}
     assert_eq!(engine.net.graph().live_node_count(), 0);
+}
+
+#[test]
+fn steady_state_rack_partition_allocates_nothing() {
+    let n = 4096usize;
+    let seed = 20080124;
+    let g = barabasi_albert(n, 3, &mut StdRng::seed_from_u64(seed));
+    let mut engine = ScenarioEngine::new(
+        HealingNetwork::new(g, seed),
+        Dash,
+        RackPartition::new(seed, 8),
+    );
+
+    // Warm-up. Rack victims are uniformly random, so the largest victim
+    // the source ever draws can come arbitrarily late, and with it the
+    // last growth of the buffers sized by a victim's degree: the eight
+    // per-victim contexts and outcomes and the heal scratch. So the
+    // warm-up first deletes the hubs, eight independent victims per
+    // batch, highest degree first, which takes every such buffer to its
+    // high-water mark; then it steps the source through its first
+    // shuffle.
+    let before_warmup = thread_allocations();
+    for _ in 0..16 {
+        let hubs = independent_victims(&engine.net, 8, |v| engine.net.graph().degree(v) as i64);
+        let record = engine.apply(NetworkEvent::DeleteBatch(hubs));
+        assert_eq!(record.kind, EventKind::DeleteBatch);
+    }
+    engine.run_events(64);
+    let warmup_allocs = thread_allocations() - before_warmup;
+    assert!(
+        warmup_allocs < 1024,
+        "warm-up allocated {warmup_allocs} times over 80 batches"
+    );
+
+    // Steady state: every remaining rack, in blocks of up to 512 events,
+    // down to the empty network.
+    let mut events = 0u64;
+    let mut block_no = 0u32;
+    loop {
+        let before = thread_allocations();
+        let mut block = 0u64;
+        while block < 512 && engine.step().is_some() {
+            block += 1;
+        }
+        let after = thread_allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "block {block_no}: {} allocation(s) during {block} steady-state batch events",
+            after - before
+        );
+        events += block;
+        block_no += 1;
+        if block < 512 {
+            break;
+        }
+    }
+    assert!(events >= 256, "only {events} steady-state batch events");
+    assert_eq!(engine.net.graph().live_node_count(), 0);
+}
+
+#[test]
+fn steady_state_churn_allocates_only_for_new_node_slots() {
+    let n = 4096usize;
+    let seed = 20080124;
+    let g = barabasi_albert(n, 3, &mut StdRng::seed_from_u64(seed));
+    let mut engine =
+        ScenarioEngine::new(HealingNetwork::new(g, seed), Dash, RandomChurn::new(seed));
+
+    // Warm-up as in the delete-only test, then 4096 mixed events, about a
+    // third of them joins. A join adds a node slot to every per-node
+    // array (adjacency, degree index, live index, ids, counters); those
+    // grow by doubling, so across the block they may allocate a few dozen
+    // times in all. Anything per join — the join's target list, say —
+    // would cost over a thousand.
+    engine.run_events(1024);
+    let before = thread_allocations();
+    let mut joins = 0u64;
+    for i in 0..4096 {
+        let record = engine
+            .step()
+            .unwrap_or_else(|| panic!("churn ended early at event {i}"));
+        if record.kind == EventKind::Join {
+            joins += 1;
+        }
+    }
+    let allocs = thread_allocations() - before;
+    assert!(joins > 1000, "only {joins} joins in 4096 churn events");
+    assert!(
+        allocs < 64,
+        "{allocs} allocation(s) during 4096 steady-state churn events ({joins} joins)"
+    );
 }

@@ -27,7 +27,7 @@
 //! `(seed, per-source tag)` so schedules replay from the seed alone and
 //! two sources sharing one seed never walk correlated streams.
 
-use crate::scenario::{source_stream, EventSource, NetworkEvent};
+use crate::scenario::{source_stream, EventRef, EventSource};
 use crate::state::HealingNetwork;
 use selfheal_graph::NodeId;
 use selfheal_sim::SplitMix64;
@@ -228,7 +228,11 @@ impl EventSource for EpidemicChurn {
         "epidemic-churn"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        _ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
         if net.graph().live_node_count() == 0 {
             return None;
         }
@@ -278,7 +282,7 @@ impl EventSource for EpidemicChurn {
         // panic-ok: the empty case re-seeds the queue a few lines up, so
         // the pop always has an element.
         let victim = self.infected.pop_front().expect("seeded above");
-        Some(NetworkEvent::Delete(victim))
+        Some(EventRef::Delete(victim))
     }
 }
 
@@ -320,16 +324,21 @@ impl EventSource for FlashCrowd {
         "flash-crowd"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
         let hub = net.graph().max_degree_node()?;
         if self.joins_left == 0 {
             // Budget spent: drain by killing the current hub.
-            return Some(NetworkEvent::Delete(hub));
+            return Some(EventRef::Delete(hub));
         }
         if self.burst_pos < self.burst {
             self.burst_pos += 1;
             self.joins_left -= 1;
-            let mut neighbors = vec![hub];
+            ids.clear();
+            ids.push(hub);
             let live = net.graph().live_node_count();
             for _ in 0..self.rng.gen_range(3) {
                 let cand = net
@@ -337,21 +346,21 @@ impl EventSource for FlashCrowd {
                     .nth_live(self.rng.gen_range(live as u64) as usize)
                     // panic-ok: rank drawn strictly below the live count.
                     .expect("rank < live count");
-                if !neighbors.contains(&cand) {
-                    neighbors.push(cand);
+                if !ids.contains(&cand) {
+                    ids.push(cand);
                 }
             }
-            Some(NetworkEvent::Join { neighbors })
+            Some(EventRef::Join(ids))
         } else {
             self.burst_pos = 0;
-            Some(NetworkEvent::Delete(hub))
+            Some(EventRef::Delete(hub))
         }
     }
 }
 
 /// Coordinated rack failures: the live nodes are shuffled into "racks"
-/// of `rack_size` and each event kills one whole rack as a
-/// `DeleteBatch`.
+/// of `rack_size` (consecutive chunks of one shuffled order) and each
+/// event kills one whole rack as a `DeleteBatch`.
 ///
 /// The engine thins each batch to an independent set (paper footnote 1's
 /// NoN-knowledge condition), so adjacent rack-mates survive the first
@@ -363,7 +372,10 @@ impl EventSource for FlashCrowd {
 pub struct RackPartition {
     rng: SplitMix64,
     rack_size: usize,
-    racks: VecDeque<Vec<NodeId>>,
+    /// The current shuffle of the live nodes, reused across reshuffles.
+    order: Vec<NodeId>,
+    /// Where in `order` the next rack starts.
+    next: usize,
 }
 
 impl RackPartition {
@@ -375,7 +387,8 @@ impl RackPartition {
         RackPartition {
             rng: source_stream(seed, Self::STREAM_TAG),
             rack_size: rack_size.max(1),
-            racks: VecDeque::new(),
+            order: Vec::new(),
+            next: 0,
         }
     }
 }
@@ -385,26 +398,34 @@ impl EventSource for RackPartition {
         "rack-partition"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
         loop {
-            if let Some(rack) = self.racks.pop_front() {
+            if self.next < self.order.len() {
+                let end = (self.next + self.rack_size).min(self.order.len());
+                let rack = &self.order[self.next..end];
+                self.next = end;
                 // Racks are disjoint, but earlier racks' adjacency
                 // thinning leaves survivors that only a re-shuffle will
                 // cover; skip racks that died entirely in the meantime
                 // (cannot happen within one shuffle, but cheap to guard).
                 if rack.iter().any(|&v| net.is_alive(v)) {
-                    return Some(NetworkEvent::DeleteBatch(rack));
+                    ids.clear();
+                    ids.extend_from_slice(rack);
+                    return Some(EventRef::DeleteBatch(ids));
                 }
                 continue;
             }
-            let mut live: Vec<NodeId> = net.graph().live_nodes().collect();
-            if live.is_empty() {
+            self.order.clear();
+            self.order.extend(net.graph().live_nodes());
+            if self.order.is_empty() {
                 return None;
             }
-            self.rng.shuffle(&mut live);
-            for chunk in live.chunks(self.rack_size) {
-                self.racks.push_back(chunk.to_vec());
-            }
+            self.rng.shuffle(&mut self.order);
+            self.next = 0;
         }
     }
 }
@@ -453,6 +474,7 @@ impl Adversary for Scripted {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::NetworkEvent;
     use selfheal_graph::generators::star_graph;
 
     fn star_net() -> HealingNetwork {

@@ -10,8 +10,8 @@
 //! exactly as in the sequential algorithm.
 //!
 //! [`delete_independent_batch`] performs the simultaneous deletion
-//! (rejecting dependent sets), and [`heal_batch`] runs the healer on each
-//! victim's context in deterministic order. Because the victims are
+//! (rejecting dependent sets), and [`heal_batch_into`] runs the healer on
+//! each victim's context in deterministic order. Because the victims are
 //! pairwise non-adjacent, the contexts captured at deletion time are
 //! exactly what each victim's neighbors would have observed under
 //! simultaneous failure.
@@ -80,69 +80,75 @@ pub fn delete_independent_batch(
             }
         }
     }
-    Ok(delete_validated_batch(net, victims))
+    let mut contexts = Vec::new();
+    delete_validated_batch_into(net, victims, &mut contexts);
+    Ok(contexts)
 }
 
 /// Delete a batch the caller has already proven alive, distinct and
 /// pairwise non-adjacent — [`delete_independent_batch`] after its
 /// validation pass, and the scenario engine after sanitizing (which
 /// establishes exactly the same property without a second O(k²) check).
-pub(crate) fn delete_validated_batch(
+///
+/// Fills `contexts[..victims.len()]` through
+/// [`HealingNetwork::delete_node_into`], growing `contexts` only when it
+/// is shorter than the batch; entries past the batch are left as they
+/// were, so a reused vector keeps every context's neighbor buffers.
+pub(crate) fn delete_validated_batch_into(
     net: &mut HealingNetwork,
     victims: &[NodeId],
-) -> Vec<DeletionContext> {
-    let mut contexts = Vec::with_capacity(victims.len());
-    for &v in victims {
-        // panic-ok: crate-internal helper whose one contract (documented
-        // above) is that every victim is live and distinct.
-        contexts.push(net.delete_node(v).expect("caller guarantees live victims"));
+    contexts: &mut Vec<DeletionContext>,
+) {
+    if contexts.len() < victims.len() {
+        contexts.resize_with(victims.len(), DeletionContext::default);
     }
-    contexts
-}
-
-/// Outcome of healing one batch.
-#[derive(Clone, Debug, Default)]
-pub struct BatchOutcome {
-    /// Per-victim healing outcomes, in victim order.
-    pub outcomes: Vec<HealOutcome>,
-    /// Combined ID-propagation accounting for the batch.
-    pub propagation: PropagationReport,
+    for (&v, ctx) in victims.iter().zip(contexts.iter_mut()) {
+        net.delete_node_into(v, ctx)
+            // panic-ok: crate-internal helper whose one contract (documented
+            // above) is that every victim is live and distinct.
+            .expect("caller guarantees live victims");
+    }
 }
 
 /// Heal after a batch deletion: run the healer on each context in victim
 /// order, then broadcast IDs once per reconstruction set — unless the
 /// healer opts out of ID propagation (oracle strategies), exactly as the
-/// single-deletion path does.
+/// single-deletion path does. Returns the batch's combined broadcast
+/// accounting.
+///
+/// Victim `i`'s outcome is written to `outcomes[i]` through
+/// [`Healer::heal_into`]; `outcomes` grows only when it is shorter than
+/// `contexts`, and entries past `contexts.len()` are left as they were.
+/// The scenario engine calls this with outcomes it keeps across events,
+/// so a steady-state batch allocates nothing.
 ///
 /// Per-victim broadcasts belong to one healing round, so their accounting
 /// folds via [`PropagationReport::merge`] (changed/messages add, latency
-/// takes the max) — the same rule the scenario engine's `DeleteBatch` arm
-/// uses, so batch and single-round paths can no longer diverge.
+/// takes the max).
 ///
 /// Broadcasts take the restricted fast path
 /// ([`HealingNetwork::propagate_min_id_uniform`]): each heal connects its
 /// reconstruction set before its broadcast seeds from exactly those
 /// members, so every `G'` component is ID-uniform when each broadcast
 /// starts and the fast path is exact.
-pub fn heal_batch<H: Healer>(
+pub fn heal_batch_into<H: Healer + ?Sized>(
     net: &mut HealingNetwork,
     healer: &mut H,
     contexts: &[DeletionContext],
-) -> BatchOutcome {
-    let mut outcomes = Vec::with_capacity(contexts.len());
+    outcomes: &mut Vec<HealOutcome>,
+) -> PropagationReport {
+    if outcomes.len() < contexts.len() {
+        outcomes.resize_with(contexts.len(), HealOutcome::default);
+    }
     let mut propagation = PropagationReport::default();
     let broadcast = healer.needs_id_propagation();
-    for ctx in contexts {
-        let outcome = healer.heal(net, ctx);
+    for (ctx, outcome) in contexts.iter().zip(outcomes.iter_mut()) {
+        healer.heal_into(net, ctx, outcome);
         if broadcast {
             propagation.merge(net.propagate_min_id_uniform(&outcome.rt_members));
         }
-        outcomes.push(outcome);
     }
-    BatchOutcome {
-        outcomes,
-        propagation,
-    }
+    propagation
 }
 
 /// Greedily pick up to `k` independent victims from the live graph using
@@ -208,7 +214,7 @@ mod tests {
         let contexts = delete_independent_batch(&mut net, &victims).unwrap();
         assert_eq!(contexts.len(), 5);
         let mut dash = Dash;
-        heal_batch(&mut net, &mut dash, &contexts);
+        heal_batch_into(&mut net, &mut dash, &contexts, &mut Vec::new());
         assert!(is_connected(net.graph()));
         assert!(is_forest(net.healing_graph()));
         assert_eq!(net.graph().live_node_count(), 5);
@@ -226,7 +232,7 @@ mod tests {
                 break;
             }
             let contexts = delete_independent_batch(&mut net, &victims).unwrap();
-            heal_batch(&mut net, &mut dash, &contexts);
+            heal_batch_into(&mut net, &mut dash, &contexts, &mut Vec::new());
             assert!(is_connected(net.graph()), "disconnected mid-batch-sweep");
             assert!(is_forest(net.healing_graph()));
         }
@@ -249,7 +255,7 @@ mod tests {
                 break;
             }
             let contexts = delete_independent_batch(&mut net, &victims).unwrap();
-            heal_batch(&mut net, &mut dash, &contexts);
+            heal_batch_into(&mut net, &mut dash, &contexts, &mut Vec::new());
             let max = net.max_delta_alive();
             assert!((max as f64) <= bound, "batch sweep: {max} > {bound}");
         }
@@ -274,8 +280,9 @@ mod tests {
         let mut net = HealingNetwork::new(path_graph(3), 1);
         let contexts = delete_independent_batch(&mut net, &[]).unwrap();
         assert!(contexts.is_empty());
-        let outcome = heal_batch(&mut net, &mut Dash, &contexts);
-        assert!(outcome.outcomes.is_empty());
-        assert_eq!(outcome.propagation, PropagationReport::default());
+        let mut outcomes = Vec::new();
+        let propagation = heal_batch_into(&mut net, &mut Dash, &contexts, &mut outcomes);
+        assert!(outcomes.is_empty());
+        assert_eq!(propagation, PropagationReport::default());
     }
 }

@@ -30,7 +30,7 @@
 //!   ([`Protocol::on_quiescent`]), one victim per round — each victim's
 //!   reconnection and ID broadcast complete before the next victim's
 //!   heal reads component IDs, exactly the synchronous-round structure
-//!   the centralized batch path (`batch::heal_batch`) models.
+//!   the centralized batch path (`batch::heal_batch_into`) models.
 //! - **Joins**: a joining node extends the columnar state with a fresh
 //!   ID larger than every ID handed out so far (the same
 //!   `total_created` counter rule as

@@ -19,7 +19,7 @@
 //! dictates (round-robin across victims by default), coordinators
 //! park their rounds, and the quiescence barrier serializes heal +
 //! broadcast per victim — the distributed realization of
-//! `batch::heal_batch`'s one-accounting-rule semantics
+//! `batch::heal_batch_into`'s one-accounting-rule semantics
 //! (messages add across a round's victims, Lemma 8).
 
 use crate::distributed::{DistributedDash, HealMode};

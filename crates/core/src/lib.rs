@@ -64,7 +64,7 @@ pub use ftree::ForgivingTree;
 pub use invariants::{FamilyAuditor, TheoremAuditor, TheoremBounds};
 pub use ring::RingForgiving;
 pub use scenario::{
-    EventRecord, EventSource, NetworkEvent, Observer, ScenarioEngine, ScenarioReport,
+    EventRecord, EventRef, EventSource, NetworkEvent, Observer, ScenarioEngine, ScenarioReport,
 };
 pub use sdash::Sdash;
 pub use snapshot::StateSnapshot;

@@ -155,7 +155,7 @@ mod tests {
     }
 
     /// The opt-out must hold for every event kind: batch deletions route
-    /// through `heal_batch`, which gates broadcasting on the same
+    /// through `heal_batch_into`, which gates broadcasting on the same
     /// `needs_id_propagation` flag as the single-deletion arm.
     #[test]
     fn oracle_dash_sends_zero_messages_under_batches() {

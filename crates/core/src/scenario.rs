@@ -9,32 +9,36 @@
 //! in [`crate::batch`] for independent-set batches, and hand-rolled churn
 //! loops in tests). This module unifies them:
 //!
-//! - [`NetworkEvent`] — the vocabulary: `Delete`, `DeleteBatch`, `Join`;
+//! - [`NetworkEvent`] — the vocabulary: `Delete`, `DeleteBatch`, `Join`
+//!   (owned, the wire and spec type), with [`EventRef`] as its borrowed
+//!   form;
 //! - [`EventSource`] — anything that emits events against the evolving
-//!   network; every [`Adversary`](crate::attack::Adversary) is one via a
-//!   blanket adapter (its picks become `Delete` events);
+//!   network, writing batch and join payloads into a borrowed buffer;
+//!   every [`Adversary`](crate::attack::Adversary) is one via a blanket
+//!   adapter (its picks become `Delete` events);
 //! - [`Observer`] — a pluggable per-event hook (invariant auditing,
 //!   metric-series collection and record logging all plug in here);
 //! - [`ScenarioEngine`] — the one loop that consumes any event stream.
 //!
-//! The per-round bookkeeping is allocation-free at steady state: the
-//! engine reuses one [`DeletionContext`] across rounds
-//! (`delete_node_into`) and `propagate_min_id` runs on epoch-stamped
-//! scratch buffers owned by [`HealingNetwork`]; records handed to
-//! observers are plain `Copy` data. (Healing strategies still build
-//! their [`HealOutcome`](crate::strategy::HealOutcome) vectors per
-//! round — those are proportional to the reconstruction set, not to
-//! `n`.)
+//! Every event kind is allocation-free at steady state for the
+//! allocation-free healers (DASH, SDASH): the engine keeps one
+//! [`DeletionContext`] and one [`HealOutcome`] per victim slot, grown
+//! once to the largest batch seen (`delete_node_into`, `heal_into`); the
+//! source lends each event's payload from a buffer the engine keeps;
+//! `propagate_min_id_uniform` runs on epoch-stamped scratch buffers
+//! owned by [`HealingNetwork`]; and records handed to observers are
+//! plain `Copy` data. `crates/bench/tests/alloc.rs` pins this for
+//! `Delete`, `DeleteBatch` and `Join` streams.
 //!
 //! For a pure `Delete` stream the engine is round-for-round identical to
 //! the legacy [`Engine`](crate::engine::Engine) shim — `tests/golden.rs`
 //! pins that equivalence to exact message/edge counts.
 
 use crate::attack::Adversary;
-use crate::batch::{delete_validated_batch, heal_batch, independent_victims};
+use crate::batch::{delete_validated_batch_into, heal_batch_into, independent_victims};
 use crate::invariants;
 use crate::state::{DeletionContext, HealingNetwork, PropagationReport};
-use crate::strategy::Healer;
+use crate::strategy::{HealOutcome, Healer};
 use selfheal_graph::NodeId;
 use selfheal_sim::SplitMix64;
 use std::collections::VecDeque;
@@ -176,6 +180,32 @@ impl std::str::FromStr for NetworkEvent {
     }
 }
 
+/// A borrowed [`NetworkEvent`]: what [`EventSource::next_event_into`]
+/// yields and what [`ScenarioEngine`] dispatches on. Batch victims and
+/// join targets are slices, so neither side needs an owned `Vec` per
+/// event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventRef<'a> {
+    /// See [`NetworkEvent::Delete`].
+    Delete(NodeId),
+    /// See [`NetworkEvent::DeleteBatch`].
+    DeleteBatch(&'a [NodeId]),
+    /// See [`NetworkEvent::Join`]; the slice holds the attachment
+    /// targets.
+    Join(&'a [NodeId]),
+}
+
+impl NetworkEvent {
+    /// This event, borrowed.
+    pub fn as_event_ref(&self) -> EventRef<'_> {
+        match self {
+            NetworkEvent::Delete(v) => EventRef::Delete(*v),
+            NetworkEvent::DeleteBatch(victims) => EventRef::DeleteBatch(victims),
+            NetworkEvent::Join { neighbors } => EventRef::Join(neighbors),
+        }
+    }
+}
+
 /// A stream of [`NetworkEvent`]s generated against the evolving network.
 ///
 /// Every [`Adversary`] is an `EventSource` via the blanket adapter below:
@@ -189,7 +219,45 @@ pub trait EventSource: Send {
     fn name(&self) -> &'static str;
 
     /// The next event, or `None` to end the scenario.
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent>;
+    ///
+    /// A batch's victims or a join's targets are written into `ids`
+    /// (replacing whatever it held) and lent back as the event's slice,
+    /// which must be `ids` itself or a prefix of it. A caller that keeps
+    /// one `ids` across events, as [`ScenarioEngine`] does, lets a source
+    /// that reuses the buffer emit every event without allocating.
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>>;
+
+    /// [`EventSource::next_event_into`] as an owned event. A `Delete`
+    /// allocates nothing; a batch or join keeps the one `Vec` its payload
+    /// was written into.
+    ///
+    /// # Panics
+    /// Panics if the source lent a batch or join slice that is not a
+    /// prefix of `ids`, breaking [`EventSource::next_event_into`]'s
+    /// contract.
+    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+        let mut ids = Vec::new();
+        let (batch, at, len) = match self.next_event_into(net, &mut ids)? {
+            EventRef::Delete(v) => return Some(NetworkEvent::Delete(v)),
+            EventRef::DeleteBatch(s) => (true, s.as_ptr(), s.len()),
+            EventRef::Join(s) => (false, s.as_ptr(), s.len()),
+        };
+        assert!(
+            len == 0 || (at == ids.as_ptr() && len <= ids.len()),
+            "event source '{}' lent a payload that is not a prefix of `ids`",
+            self.name()
+        );
+        ids.truncate(len);
+        Some(if batch {
+            NetworkEvent::DeleteBatch(ids)
+        } else {
+            NetworkEvent::Join { neighbors: ids }
+        })
+    }
 }
 
 impl<A: Adversary> EventSource for A {
@@ -197,8 +265,12 @@ impl<A: Adversary> EventSource for A {
         Adversary::name(self)
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
-        self.pick(net).map(NetworkEvent::Delete)
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        _ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
+        self.pick(net).map(EventRef::Delete)
     }
 }
 
@@ -214,8 +286,12 @@ impl EventSource for Box<dyn EventSource> {
         (**self).name()
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
-        (**self).next_event(net)
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
+        (**self).next_event_into(net, ids)
     }
 }
 
@@ -252,8 +328,24 @@ impl EventSource for ScriptedEvents {
         "scripted-events"
     }
 
-    fn next_event(&mut self, _net: &HealingNetwork) -> Option<NetworkEvent> {
-        self.queue.pop_front()
+    /// Batch and join payloads move into `ids` as they are, so the owned
+    /// [`EventSource::next_event`] hands back the scripted `Vec` itself.
+    fn next_event_into<'a>(
+        &mut self,
+        _net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
+        Some(match self.queue.pop_front()? {
+            NetworkEvent::Delete(v) => EventRef::Delete(v),
+            NetworkEvent::DeleteBatch(victims) => {
+                *ids = victims;
+                EventRef::DeleteBatch(ids)
+            }
+            NetworkEvent::Join { neighbors } => {
+                *ids = neighbors;
+                EventRef::Join(ids)
+            }
+        })
     }
 }
 
@@ -277,12 +369,16 @@ impl EventSource for DegreeBatches {
         "degree-batches"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
-        let victims = independent_victims(net, self.k, |v| net.graph().degree(v) as i64);
-        if victims.is_empty() {
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
+        *ids = independent_victims(net, self.k, |v| net.graph().degree(v) as i64);
+        if ids.is_empty() {
             None
         } else {
-            Some(NetworkEvent::DeleteBatch(victims))
+            Some(EventRef::DeleteBatch(ids))
         }
     }
 }
@@ -328,7 +424,11 @@ impl EventSource for RandomChurn {
         "random-churn"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
         if net.graph().live_node_count() == 0 {
             return None;
         }
@@ -338,25 +438,25 @@ impl EventSource for RandomChurn {
             // ascending collected live list, without the O(n) collect.
             let live = net.graph().live_node_count();
             let k = 1 + self.rng.gen_range(3) as usize;
-            let mut targets: Vec<NodeId> = Vec::with_capacity(k);
+            ids.clear();
             for _ in 0..k.min(live) {
                 let cand = net
                     .graph()
                     .nth_live(self.rng.gen_range(live as u64) as usize)
                     // panic-ok: rank drawn strictly below the live count.
                     .expect("rank < live count");
-                if !targets.contains(&cand) {
-                    targets.push(cand);
+                if !ids.contains(&cand) {
+                    ids.push(cand);
                 }
             }
-            Some(NetworkEvent::Join { neighbors: targets })
+            Some(EventRef::Join(ids))
         } else {
             let hub = net.graph().max_degree_node()?;
             let victim = match net.graph().neighbors(hub) {
                 [] => hub,
                 nbrs => *self.rng.choose(nbrs),
             };
-            Some(NetworkEvent::Delete(victim))
+            Some(EventRef::Delete(victim))
         }
     }
 }
@@ -572,13 +672,16 @@ pub struct ScenarioEngine<H: Healer, S: EventSource> {
     source: S,
     audit: AuditObserver,
     report: ScenarioReport,
-    /// Reused across rounds; steady-state deletions allocate nothing.
-    ctx: DeletionContext,
-    /// Reused heal outcome (`heal_into`), the other half of the
-    /// allocation-free steady state.
-    outcome: crate::strategy::HealOutcome,
-    /// Sanitized-batch scratch, reused across batch events.
+    /// One deletion context per victim slot, grown once to the largest
+    /// batch seen and reused across rounds.
+    contexts: Vec<DeletionContext>,
+    /// One heal outcome per victim slot (`heal_into`), kept like
+    /// `contexts`.
+    outcomes: Vec<HealOutcome>,
+    /// Sanitized victims or join targets, reused across events.
     batch: Vec<NodeId>,
+    /// The buffer the source lends batch and join payloads from.
+    ids: Vec<NodeId>,
     /// Events in a row that changed nothing (see [`NO_PROGRESS_LIMIT`]).
     consecutive_noops: u64,
 }
@@ -602,9 +705,10 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
             source,
             audit: AuditObserver::new(AuditLevel::Off, preserves_forest),
             report: ScenarioReport::default(),
-            ctx: DeletionContext::default(),
-            outcome: crate::strategy::HealOutcome::default(),
+            contexts: Vec::new(),
+            outcomes: Vec::new(),
             batch: Vec::new(),
+            ids: Vec::new(),
             consecutive_noops: 0,
         }
     }
@@ -639,8 +743,16 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
 
     /// [`ScenarioEngine::step`] with an external observer.
     pub fn step_with(&mut self, observer: &mut dyn Observer) -> Option<EventRecord> {
-        let event = self.source.next_event(&self.net)?;
-        Some(self.apply_with(event, observer))
+        // The payload borrows `ids`, so take it out of `self` for the
+        // dispatch and put it back after (moving a `Vec` allocates
+        // nothing).
+        let mut ids = std::mem::take(&mut self.ids);
+        let record = self
+            .source
+            .next_event_into(&self.net, &mut ids)
+            .map(|event| self.dispatch(event, observer));
+        self.ids = ids;
+        record
     }
 
     /// Apply one externally supplied event (bypassing the source).
@@ -655,11 +767,17 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
     /// signature of an event source stuck on dead nodes (the bug the
     /// legacy engine's "adversary picked a dead node" panic caught).
     pub fn apply_with(&mut self, event: NetworkEvent, observer: &mut dyn Observer) -> EventRecord {
+        self.dispatch(event.as_event_ref(), observer)
+    }
+
+    /// The one dispatch behind [`ScenarioEngine::step_with`] and
+    /// [`ScenarioEngine::apply_with`].
+    fn dispatch(&mut self, event: EventRef<'_>, observer: &mut dyn Observer) -> EventRecord {
         self.report.events += 1;
         let record = match event {
-            NetworkEvent::Delete(v) => self.apply_delete(v),
-            NetworkEvent::DeleteBatch(victims) => self.apply_batch(&victims),
-            NetworkEvent::Join { neighbors } => self.apply_join(&neighbors),
+            EventRef::Delete(v) => self.apply_delete(v),
+            EventRef::DeleteBatch(victims) => self.apply_batch(victims),
+            EventRef::Join(targets) => self.apply_join(targets),
         };
         if record.victims == 0 && record.joined.is_none() {
             self.consecutive_noops += 1;
@@ -725,73 +843,58 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         self.report.clone()
     }
 
-    /// Accounting shared by every heal: totals, RT-member maxima, and the
-    /// running `max_delta_ever` (only RT members can gain degree in a
-    /// round, so the running max over rounds equals the global max).
-    fn account_heal(
-        &mut self,
-        rt_members: &[NodeId],
-        propagation: PropagationReport,
-        edges_added: usize,
-        round_max_delta: Option<i64>,
-    ) {
+    /// One healing round over live, distinct, pairwise non-adjacent
+    /// victims; a single deletion is a round of one. Simultaneous
+    /// semantics: every victim's context is captured before any healing,
+    /// then [`heal_batch_into`] heals and broadcasts per victim in order.
+    /// Both run on the engine's reused contexts and outcomes.
+    fn heal_round(&mut self, victims: &[NodeId], record: &mut EventRecord) {
+        let k = victims.len();
+        self.report.rounds += 1;
+        self.report.deletions += k as u64;
+        record.round = self.report.rounds;
+        record.victims = k;
+        delete_validated_batch_into(&mut self.net, victims, &mut self.contexts);
+        let propagation = heal_batch_into(
+            &mut self.net,
+            &mut self.healer,
+            &self.contexts[..k],
+            &mut self.outcomes,
+        );
+        // Only reconstruction-set members can gain degree in a round, so
+        // the running max of δ over rounds is the global max. ID changes
+        // and traffic reach further; `finalize` rescans every node.
+        let mut round_max_delta: Option<i64> = None;
+        for o in &self.outcomes[..k] {
+            record.rt_size += o.rt_members.len();
+            record.edges_added += o.edges_added.len();
+            for &m in &o.rt_members {
+                let d = self.net.delta(m);
+                round_max_delta = Some(round_max_delta.map_or(d, |cur: i64| cur.max(d)));
+                self.report.max_id_changes = self.report.max_id_changes.max(self.net.id_changes(m));
+                self.report.max_traffic = self.report.max_traffic.max(self.net.traffic(m));
+            }
+        }
         self.report.total_messages += propagation.messages;
-        self.report.total_edges_added += edges_added as u64;
+        self.report.total_edges_added += record.edges_added as u64;
         self.report.total_propagation_latency += propagation.latency;
         self.report.max_propagation_latency =
             self.report.max_propagation_latency.max(propagation.latency);
         if let Some(d) = round_max_delta {
             self.report.max_delta_ever = self.report.max_delta_ever.max(d);
         }
-        for &v in rt_members {
-            self.report.max_id_changes = self.report.max_id_changes.max(self.net.id_changes(v));
-            self.report.max_traffic = self.report.max_traffic.max(self.net.traffic(v));
-        }
+        record.propagation = propagation;
+        record.round_max_delta = round_max_delta;
     }
 
     fn apply_delete(&mut self, v: NodeId) -> EventRecord {
         let mut record =
             EventRecord::empty(self.report.events, self.report.rounds, EventKind::Delete);
         record.deleted = Some(v);
-        if !self.net.is_alive(v) {
-            return record;
+        if self.net.is_alive(v) {
+            self.heal_round(&[v], &mut record);
+            record.surrogate = self.outcomes[0].surrogate;
         }
-        self.report.rounds += 1;
-        self.report.deletions += 1;
-        record.round = self.report.rounds;
-        record.victims = 1;
-        self.net
-            .delete_node_into(v, &mut self.ctx)
-            // panic-ok: the step dispatcher verified `v` is alive before
-            // routing the delete here.
-            .expect("liveness checked above");
-        // The engine's heal flow keeps every G' component ID-uniform
-        // (healers connect exactly the members they then seed), so the
-        // broadcast can take the restricted fast path — see
-        // `propagate_min_id_uniform` for the invariant and why the
-        // accounting is identical. The outcome round-trips through a
-        // `mem::take` so its buffers survive the disjoint borrows.
-        let mut outcome = std::mem::take(&mut self.outcome);
-        self.healer
-            .heal_into(&mut self.net, &self.ctx, &mut outcome);
-        let propagation = if self.healer.needs_id_propagation() {
-            self.net.propagate_min_id_uniform(&outcome.rt_members)
-        } else {
-            PropagationReport::default()
-        };
-        let round_max_delta = outcome.rt_members.iter().map(|&m| self.net.delta(m)).max();
-        self.account_heal(
-            &outcome.rt_members,
-            propagation,
-            outcome.edges_added.len(),
-            round_max_delta,
-        );
-        record.rt_size = outcome.rt_members.len();
-        record.edges_added = outcome.edges_added.len();
-        record.surrogate = outcome.surrogate;
-        self.outcome = outcome;
-        record.propagation = propagation;
-        record.round_max_delta = round_max_delta;
         record
     }
 
@@ -801,47 +904,20 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
             self.report.rounds,
             EventKind::DeleteBatch,
         );
+        // The sanitize pass proves independence, so the round skips
+        // `delete_independent_batch`'s second O(k²) validation.
+        let mut kept = std::mem::take(&mut self.batch);
         let net = &self.net;
         sanitize_batch(
-            &mut self.batch,
+            &mut kept,
             victims.iter().copied(),
             |v| net.is_alive(v),
             |u, v| net.graph().has_edge(u, v),
         );
-        if self.batch.is_empty() {
-            return record;
+        if !kept.is_empty() {
+            self.heal_round(&kept, &mut record);
         }
-        self.report.rounds += 1;
-        self.report.deletions += self.batch.len() as u64;
-        record.round = self.report.rounds;
-        record.victims = self.batch.len();
-        // Simultaneous semantics: capture every victim's context before
-        // any healing, then heal per victim in order (exactly the folded
-        // batch::heal_batch path, so there is one accounting rule). The
-        // sanitize pass above already proved independence, so skip
-        // delete_independent_batch's second O(k²) validation.
-        let contexts = delete_validated_batch(&mut self.net, &self.batch);
-        let outcome = heal_batch(&mut self.net, &mut self.healer, &contexts);
-        // Per-member maxima fold into this single pass (account_heal gets
-        // an empty member slice) so batch events allocate nothing extra.
-        let mut round_max_delta: Option<i64> = None;
-        let mut rt_size = 0;
-        let mut edges_added = 0;
-        for o in &outcome.outcomes {
-            rt_size += o.rt_members.len();
-            edges_added += o.edges_added.len();
-            for &m in &o.rt_members {
-                let d = self.net.delta(m);
-                round_max_delta = Some(round_max_delta.map_or(d, |cur: i64| cur.max(d)));
-                self.report.max_id_changes = self.report.max_id_changes.max(self.net.id_changes(m));
-                self.report.max_traffic = self.report.max_traffic.max(self.net.traffic(m));
-            }
-        }
-        self.account_heal(&[], outcome.propagation, edges_added, round_max_delta);
-        record.rt_size = rt_size;
-        record.edges_added = edges_added;
-        record.propagation = outcome.propagation;
-        record.round_max_delta = round_max_delta;
+        self.batch = kept;
         record
     }
 

@@ -62,8 +62,8 @@ pub struct PropagationReport {
 impl PropagationReport {
     /// Fold another broadcast of the **same healing round** into this one.
     ///
-    /// Semantics (shared by the engine's batch arm and
-    /// [`crate::batch::heal_batch`]): broadcasts triggered by one round
+    /// Semantics (applied by [`crate::batch::heal_batch_into`], the one
+    /// loop behind every engine heal): broadcasts triggered by one round
     /// proceed in parallel, so `changed` and `messages` add while
     /// `latency` takes the maximum. Latencies of *different* rounds are
     /// sequential and are summed by the run report
@@ -170,8 +170,14 @@ impl HealingNetwork {
         let initial_degree = (0..n)
             .map(|i| graph.degree(NodeId::from_index(i)) as u32)
             .collect();
+        // G′ ⊆ G bounds every G′ degree by a G degree, and healing lifts
+        // G degrees by at most 2 log₂ n (Theorem 1): size the G′ degree
+        // index for the largest initial G degree once, here, rather than
+        // growing it as healing edges pile up.
+        let mut gp = Graph::new(n);
+        gp.reserve_degree(graph.max_degree_node().map_or(0, |v| graph.degree(v)));
         HealingNetwork {
-            gp: Graph::new(n),
+            gp,
             g: graph,
             initial_degree,
             comp_id: ids.clone(),
@@ -376,6 +382,11 @@ impl HealingNetwork {
         self.g.check_alive(v)?;
         ctx.deleted = v;
         ctx.deleted_comp_id = self.comp_id[v.index()];
+        // G′ ⊆ G, so size the G′ list by the G degree: both lists then
+        // reach their high-water mark with the largest G degree deleted,
+        // not with whichever victim first had many healing edges.
+        ctx.gprime_neighbors.clear();
+        ctx.gprime_neighbors.reserve(self.g.degree(v));
         self.gp.remove_node_into(v, &mut ctx.gprime_neighbors)?;
         self.g.remove_node_into(v, &mut ctx.g_neighbors)?;
         let heir = ctx
@@ -469,7 +480,7 @@ impl HealingNetwork {
     /// healing flow actually maintains: **each `G'` component carries one
     /// uniform component ID when the broadcast starts**.
     ///
-    /// That invariant holds after every engine- or `heal_batch`-driven
+    /// That invariant holds after every engine- or `heal_batch_into`-driven
     /// round, because healers only add edges among the reconstruction-set
     /// members they then seed the broadcast from, and each broadcast
     /// re-uniformizes every component it touches. Under it the exact

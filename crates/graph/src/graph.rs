@@ -36,11 +36,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// hints.
 ///
 /// Every live node sits in `buckets[degree(v)]`; `pos[v]` is its index in
-/// that bucket so moves are O(1) `swap_remove`s. The hints over-approximate
-/// (`max_hint ≥` true max, `min_hint ≤` true min): mutations only ever
-/// push them outward, and queries walk them back to the first non-empty
-/// bucket — each repair step is paid for by the mutation that stranded the
-/// hint, so queries are amortized O(1) plus the extreme bucket's tie scan.
+/// that bucket so moves are O(1) `swap_remove`s. The buckets are chunks
+/// of one [`AdjPool`], like the adjacency lists, so a bucket that
+/// outgrows its chunk takes one another bucket left behind. Healing
+/// keeps moving nodes between degrees until the network is empty, and
+/// buckets keep setting new size records; the index still stops
+/// allocating once its arena reaches the peak total bucket size. The hints
+/// over-approximate (`max_hint ≥` true max, `min_hint ≤` true min):
+/// mutations only ever push them outward, and queries walk them back to
+/// the first non-empty bucket — each repair step is paid for by the
+/// mutation that stranded the hint, so queries are amortized O(1) plus
+/// the extreme bucket's tie scan.
 ///
 /// The hints are atomics so queries keep the historical `&self` signature
 /// (`Graph::max_degree_node` is called through shared references): a hint
@@ -48,7 +54,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// stores can only lose a repair, never break the bounds.
 #[derive(Debug, Default)]
 struct DegreeIndex {
-    buckets: Vec<Vec<NodeId>>,
+    pool: AdjPool,
+    buckets: Vec<ChunkRef>,
     pos: Vec<u32>,
     max_hint: AtomicUsize,
     min_hint: AtomicUsize,
@@ -57,6 +64,7 @@ struct DegreeIndex {
 impl Clone for DegreeIndex {
     fn clone(&self) -> Self {
         DegreeIndex {
+            pool: self.pool.clone(),
             buckets: self.buckets.clone(),
             pos: self.pos.clone(),
             // relaxed-ok: any conservative snapshot is valid — a hint is
@@ -73,20 +81,30 @@ impl Clone for DegreeIndex {
 impl DegreeIndex {
     /// Index for `n` fresh live nodes, all of degree 0.
     fn new_isolated(n: usize) -> Self {
-        DegreeIndex {
-            buckets: vec![(0..n).map(NodeId::from_index).collect()],
-            pos: (0..n).map(|i| i as u32).collect(),
-            max_hint: AtomicUsize::new(0),
-            min_hint: AtomicUsize::new(0),
-        }
+        let mut index = DegreeIndex {
+            buckets: vec![ChunkRef::default()],
+            pos: (0..n as u32).collect(),
+            ..DegreeIndex::default()
+        };
+        index
+            .pool
+            .extend(&mut index.buckets[0], (0..n).map(NodeId::from_index));
+        index
+    }
+
+    /// Index a freshly added node `v` (the next id) at degree 0.
+    fn push_node(&mut self, v: NodeId) {
+        self.pos.push(0);
+        self.insert(v, 0);
     }
 
     fn insert(&mut self, v: NodeId, d: usize) {
         if self.buckets.len() <= d {
-            self.buckets.resize_with(d + 1, Vec::new);
+            self.buckets.resize_with(d + 1, ChunkRef::default);
         }
-        self.pos[v.index()] = self.buckets[d].len() as u32;
-        self.buckets[d].push(v);
+        let bucket = &mut self.buckets[d];
+        self.pos[v.index()] = bucket.len() as u32;
+        self.pool.push(bucket, v);
         // relaxed-ok: insert holds `&mut self`, so no query races this
         // store; fetch_max/fetch_min keep the hints conservative
         // (`max_hint ≥` true max, `min_hint ≤` true min) and the loom
@@ -98,16 +116,23 @@ impl DegreeIndex {
 
     fn remove(&mut self, v: NodeId, d: usize) {
         let p = self.pos[v.index()] as usize;
-        debug_assert_eq!(self.buckets[d][p], v);
-        self.buckets[d].swap_remove(p);
-        if let Some(&moved) = self.buckets[d].get(p) {
-            self.pos[moved.index()] = p as u32;
-        }
+        debug_assert_eq!(self.bucket(d)[p], v);
+        let moved = self.pool.swap_remove(&mut self.buckets[d], p);
+        self.pos[moved.index()] = p as u32;
     }
 
     fn change(&mut self, v: NodeId, from: usize, to: usize) {
         self.remove(v, from);
         self.insert(v, to);
+    }
+
+    /// The nodes of degree `d`.
+    fn bucket(&self, d: usize) -> &[NodeId] {
+        self.pool.slice(&self.buckets[d])
+    }
+
+    fn is_empty(&self, d: usize) -> bool {
+        self.buckets[d].is_empty()
     }
 
     /// Lowest id in the highest non-empty bucket. The caller guarantees at
@@ -117,13 +142,14 @@ impl DegreeIndex {
         // hint invariant (`max_hint ≥` true max) still holds; verified
         // exhaustively by `crates/graph/tests/loom.rs`.
         let mut h = self.max_hint.load(Ordering::Relaxed);
-        while h > 0 && self.buckets[h].is_empty() {
+        while h > 0 && self.is_empty(h) {
             h -= 1;
         }
         // relaxed-ok: lazy repair; racing stores can only lose a repair
         // (leaving a conservative hint), never break the bounds.
         self.max_hint.store(h, Ordering::Relaxed);
-        *self.buckets[h]
+        *self
+            .bucket(h)
             .iter()
             .min()
             // panic-ok: documented precondition — the caller guarantees a
@@ -137,12 +163,13 @@ impl DegreeIndex {
         // relaxed-ok: mirror of [`Self::max_node`] — stale reads start
         // the walk too low but `min_hint ≤` true min still holds.
         let mut h = self.min_hint.load(Ordering::Relaxed);
-        while self.buckets[h].is_empty() {
+        while self.is_empty(h) {
             h += 1;
         }
         // relaxed-ok: lazy repair, losable without harm (see max_node).
         self.min_hint.store(h, Ordering::Relaxed);
-        *self.buckets[h]
+        *self
+            .bucket(h)
             .iter()
             .min()
             // panic-ok: documented precondition — the caller guarantees a
@@ -312,14 +339,20 @@ impl Graph {
         }
     }
 
+    /// Size the degree index for degrees up to `max_degree`, so that
+    /// raising a node to any such degree never allocates.
+    pub fn reserve_degree(&mut self, max_degree: usize) {
+        let buckets = &mut self.degrees.buckets;
+        buckets.reserve((max_degree + 1).saturating_sub(buckets.len()));
+    }
+
     /// Allocate a fresh live node and return its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::from_index(self.adj.len());
         self.adj.push(ChunkRef::default());
         self.alive.push(true);
         self.live_count += 1;
-        self.degrees.pos.push(0);
-        self.degrees.insert(id, 0);
+        self.degrees.push_node(id);
         if self.alive.len() > self.live_index.cap {
             let cap = (self.live_index.cap * 2).max(self.alive.len()).max(16);
             self.live_index.rebuild(cap, &self.alive);
@@ -634,12 +667,12 @@ impl Graph {
         // Degree-bucket index: every live node in its degree's bucket at
         // its recorded position, no stale entries, hints still bounding.
         let mut indexed = 0usize;
-        for (d, bucket) in self.degrees.buckets.iter().enumerate() {
-            for &v in bucket {
+        for d in 0..self.degrees.buckets.len() {
+            let bucket = self.degrees.bucket(d);
+            for (p, &v) in bucket.iter().enumerate() {
                 if !self.is_alive(v)
                     || self.degree(v) != d
-                    || self.degrees.pos[v.index()] as usize >= bucket.len()
-                    || bucket[self.degrees.pos[v.index()] as usize] != v
+                    || self.degrees.pos[v.index()] as usize != p
                 {
                     return Err(GraphError::EmptyGraph); // index drift
                 }
@@ -651,7 +684,7 @@ impl Graph {
             let max_hint = self.degrees.max_hint.load(Ordering::Relaxed);
             // relaxed-ok: as above.
             let min_hint = self.degrees.min_hint.load(Ordering::Relaxed);
-            if !bucket.is_empty() && (d > max_hint || d < min_hint) {
+            if !self.degrees.is_empty(d) && (d > max_hint || d < min_hint) {
                 return Err(GraphError::EmptyGraph); // hint no longer bounds
             }
         }

@@ -18,6 +18,10 @@
 //! frees the old chunk for reuse. The arena itself never shrinks — its
 //! high-water mark is the peak total adjacency size, and after that
 //! steady-state churn is allocation-free.
+//!
+//! `Graph`'s degree index keeps its degree buckets in a pool of its own,
+//! appending with [`AdjPool::push`] and removing with
+//! [`AdjPool::swap_remove`].
 
 use crate::ids::NodeId;
 
@@ -127,6 +131,12 @@ impl AdjPool {
     /// Reallocate `r` into the next size class, copying its values.
     fn grow(&mut self, r: &mut ChunkRef) {
         let new_class = if r.off == NIL { 0 } else { r.class + 1 };
+        self.move_to(r, new_class);
+    }
+
+    /// Reallocate `r` into size class `new_class` (which must hold its
+    /// values), copying them.
+    fn move_to(&mut self, r: &mut ChunkRef, new_class: u8) {
         let new_off = self.alloc(new_class);
         if r.off != NIL {
             self.slots
@@ -149,6 +159,53 @@ impl AdjPool {
             .copy_within(base + pos..base + r.len as usize, base + pos + 1);
         self.slots[base + pos] = value;
         r.len += 1;
+    }
+
+    /// Append every value of `values`, moving the chunk at most once, into
+    /// the smallest size class that holds them all.
+    pub fn extend(&mut self, r: &mut ChunkRef, values: impl ExactSizeIterator<Item = NodeId>) {
+        if values.len() == 0 {
+            return;
+        }
+        let len = r.len as usize + values.len();
+        if r.off == NIL || len > cap_of(r.class) as usize {
+            let mut class = 0;
+            while (cap_of(class) as usize) < len {
+                class += 1;
+            }
+            self.move_to(r, class);
+        }
+        let start = (r.off + r.len) as usize;
+        for (slot, value) in self.slots[start..start + values.len()]
+            .iter_mut()
+            .zip(values)
+        {
+            *slot = value;
+        }
+        r.len = len as u32;
+    }
+
+    /// Append `value`; grows the chunk into the next size class when full.
+    #[inline]
+    pub fn push(&mut self, r: &mut ChunkRef, value: NodeId) {
+        if r.off == NIL || r.len == cap_of(r.class) {
+            self.grow(r);
+        }
+        self.slots[(r.off + r.len) as usize] = value;
+        r.len += 1;
+    }
+
+    /// Remove the value at `pos` (< len) by moving the last value into
+    /// its place, and return the moved value (the removed one itself when
+    /// `pos` was the last position).
+    #[inline]
+    pub fn swap_remove(&mut self, r: &mut ChunkRef, pos: usize) -> NodeId {
+        debug_assert!(pos < r.len as usize);
+        r.len -= 1;
+        let base = r.off as usize;
+        let last = self.slots[base + r.len as usize];
+        self.slots[base + pos] = last;
+        last
     }
 
     /// Remove and return the value at `pos` (< len), shifting the tail left.
@@ -233,6 +290,33 @@ mod tests {
         assert_eq!(pool.remove_at(&mut r, 2), NodeId(2));
         assert_eq!(pool.remove_at(&mut r, 0), NodeId(0));
         assert_eq!(ids(&pool, &r), vec![1, 3, 4, 5]);
+    }
+
+    #[test]
+    fn push_and_swap_remove_work_at_the_tail() {
+        let mut pool = AdjPool::default();
+        let mut r = ChunkRef::default();
+        for v in 0..6u32 {
+            pool.push(&mut r, NodeId(v));
+        }
+        // The last value fills the hole; removing the last returns itself.
+        assert_eq!(pool.swap_remove(&mut r, 1), NodeId(5));
+        assert_eq!(pool.swap_remove(&mut r, 4), NodeId(4));
+        assert_eq!(ids(&pool, &r), vec![0, 5, 2, 3]);
+    }
+
+    #[test]
+    fn extend_moves_once_into_the_class_that_fits() {
+        let mut pool = AdjPool::default();
+        let mut r = ChunkRef::default();
+        pool.extend(&mut r, std::iter::empty());
+        assert_eq!(pool.arena_len(), 0, "an empty extend allocates no chunk");
+        pool.extend(&mut r, (0..3u32).map(NodeId));
+        pool.extend(&mut r, (3..20u32).map(NodeId));
+        assert_eq!(ids(&pool, &r), (0..20).collect::<Vec<_>>());
+        // One move from class 0 (cap 4) straight to class 3 (cap 32).
+        assert_eq!(pool.free_chunk_count(), 1);
+        assert_eq!(pool.arena_len(), 4 + 32);
     }
 
     #[test]

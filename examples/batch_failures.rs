@@ -28,14 +28,20 @@ impl EventSource for EscalatingFailures {
         "escalating-failures"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+    // The victims move into the engine's `ids` buffer and are lent back
+    // as the batch.
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
         self.wave += 1;
         let k = 1usize << self.wave.min(6);
-        let victims = independent_victims(net, k, |v| net.graph().degree(v) as i64);
-        if victims.is_empty() {
+        *ids = independent_victims(net, k, |v| net.graph().degree(v) as i64);
+        if ids.is_empty() {
             None
         } else {
-            Some(NetworkEvent::DeleteBatch(victims))
+            Some(EventRef::DeleteBatch(ids))
         }
     }
 }

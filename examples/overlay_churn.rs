@@ -36,28 +36,34 @@ impl EventSource for OverlayChurn {
         "overlay-churn"
     }
 
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+    // Batch victims and join targets go into the engine's `ids` buffer
+    // and are lent back as the event's slice.
+    fn next_event_into<'a>(
+        &mut self,
+        net: &HealingNetwork,
+        ids: &'a mut Vec<NodeId>,
+    ) -> Option<EventRef<'a>> {
         self.event += 1;
         if self.event.is_multiple_of(50) {
-            let rack = independent_victims(net, 8, |v| net.graph().degree(v) as i64);
-            return Some(NetworkEvent::DeleteBatch(rack));
+            *ids = independent_victims(net, 8, |v| net.graph().degree(v) as i64);
+            return Some(EventRef::DeleteBatch(ids));
         }
         if self.event.is_multiple_of(10) {
             let live: Vec<NodeId> = net.graph().live_nodes().collect();
             let k = (2 + self.rng.gen_range(2) as usize).min(live.len());
-            let mut neighbors = Vec::with_capacity(k);
-            while neighbors.len() < k {
+            ids.clear();
+            while ids.len() < k {
                 let cand = *self.rng.choose(&live);
-                if !neighbors.contains(&cand) {
-                    neighbors.push(cand);
+                if !ids.contains(&cand) {
+                    ids.push(cand);
                 }
             }
-            return Some(NetworkEvent::Join { neighbors });
+            return Some(EventRef::Join(ids));
         }
         if self.event.is_multiple_of(3) {
-            self.targeted.next_event(net)
+            self.targeted.next_event_into(net, ids)
         } else {
-            self.random.next_event(net)
+            self.random.next_event_into(net, ids)
         }
     }
 }

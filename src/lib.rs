@@ -62,7 +62,7 @@ pub mod prelude {
     pub use selfheal_core::oracle::OracleDash;
     pub use selfheal_core::ring::RingForgiving;
     pub use selfheal_core::scenario::{
-        AuditObserver, DegreeBatches, EventKind, EventRecord, EventSource, NetworkEvent,
+        AuditObserver, DegreeBatches, EventKind, EventRecord, EventRef, EventSource, NetworkEvent,
         NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine, ScenarioReport,
         ScriptedEvents,
     };

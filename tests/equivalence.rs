@@ -9,10 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use selfheal_core::attack::RackPartition;
+use selfheal_core::batch::delete_independent_batch;
 use selfheal_core::dash::Dash;
 use selfheal_core::distributed::DistributedDash;
+use selfheal_core::scenario::{EventSource, NetworkEvent, ScenarioEngine, ScriptedEvents};
 use selfheal_core::sdash::Sdash;
-use selfheal_core::state::HealingNetwork;
+use selfheal_core::state::{HealingNetwork, PropagationReport};
 use selfheal_core::strategy::Healer;
 use selfheal_graph::generators::{barabasi_albert, star_graph};
 use selfheal_graph::{Graph, NodeId};
@@ -178,7 +181,7 @@ fn sdash_equivalence_on_star() {
 }
 
 /// Uniform-component broadcast vs. the exact BFS. The engine and
-/// `heal_batch` route every post-heal broadcast through
+/// `heal_batch_into` route every post-heal broadcast through
 /// [`HealingNetwork::propagate_min_id_uniform`], which is exact only
 /// under the invariant that every `G'` component is ID-uniform when the
 /// broadcast starts. These sweeps drive twin networks — one broadcasting
@@ -330,4 +333,126 @@ fn async_delivery_reaches_the_same_fixed_point() {
             );
         }
     }
+}
+
+/// The engine's batch arm heals on per-victim contexts and outcomes it
+/// reuses across events. Hold it to the owned reference path: sanitize
+/// by the engine's rule (keep each live victim that neither repeats nor
+/// neighbours an earlier kept one), `delete_independent_batch`, then
+/// `Healer::heal` and `propagate_min_id_uniform` per victim. After every
+/// rack the event record, `G`, `G'` and every component ID must agree,
+/// and at the end the run report's totals.
+fn assert_batch_arm_matches_reference<H: Healer + Clone>(healer: H, g: Graph, seed: u64) {
+    let mut engine = ScenarioEngine::new(
+        HealingNetwork::new(g.clone(), seed),
+        healer.clone(),
+        ScriptedEvents::default(),
+    );
+    let mut reference = HealingNetwork::new(g, seed);
+    let mut ref_healer = healer;
+    let mut source = RackPartition::new(seed, 8);
+    let mut kept: Vec<NodeId> = Vec::new();
+    let (mut rounds, mut messages, mut edges_total, mut latency, mut max_delta) =
+        (0u64, 0u64, 0u64, 0u64, 0i64);
+    while let Some(event) = source.next_event(&engine.net) {
+        let NetworkEvent::DeleteBatch(victims) = &event else {
+            panic!("rack partition emits batches only, got {event:?}");
+        };
+        kept.clear();
+        for &v in victims {
+            if reference.is_alive(v)
+                && !kept.contains(&v)
+                && kept.iter().all(|&u| !reference.graph().has_edge(u, v))
+            {
+                kept.push(v);
+            }
+        }
+        let record = engine.apply(event.clone());
+        assert_eq!(record.victims, kept.len(), "batch {event:?}: victims");
+        if kept.is_empty() {
+            continue;
+        }
+        rounds += 1;
+        let contexts = delete_independent_batch(&mut reference, &kept).unwrap();
+        let mut propagation = PropagationReport::default();
+        let (mut rt_size, mut edges) = (0, 0);
+        let mut members = Vec::new();
+        for ctx in &contexts {
+            let outcome = ref_healer.heal(&mut reference, ctx);
+            if ref_healer.needs_id_propagation() {
+                propagation.merge(reference.propagate_min_id_uniform(&outcome.rt_members));
+            }
+            rt_size += outcome.rt_members.len();
+            edges += outcome.edges_added.len();
+            members.extend(outcome.rt_members);
+        }
+        let round_max_delta = members.iter().map(|&m| reference.delta(m)).max();
+        assert_eq!(
+            (
+                record.rt_size,
+                record.edges_added,
+                record.propagation,
+                record.round_max_delta
+            ),
+            (rt_size, edges, propagation, round_max_delta),
+            "round {rounds}: record"
+        );
+        messages += propagation.messages;
+        edges_total += edges as u64;
+        latency += propagation.latency;
+        max_delta = max_delta.max(round_max_delta.unwrap_or(0));
+        for i in 0..reference.graph().node_bound() {
+            let v = NodeId::from_index(i);
+            assert_eq!(
+                engine.net.is_alive(v),
+                reference.is_alive(v),
+                "round {rounds}: {v} alive"
+            );
+            if !reference.is_alive(v) {
+                continue;
+            }
+            assert_eq!(
+                engine.net.graph().neighbors(v),
+                reference.graph().neighbors(v),
+                "round {rounds}: G neighbours of {v}"
+            );
+            assert_eq!(
+                engine.net.healing_graph().neighbors(v),
+                reference.healing_graph().neighbors(v),
+                "round {rounds}: G' neighbours of {v}"
+            );
+            assert_eq!(
+                engine.net.comp_id(v),
+                reference.comp_id(v),
+                "round {rounds}: comp of {v}"
+            );
+        }
+    }
+    let report = engine.finish();
+    assert_eq!(
+        reference.graph().live_node_count(),
+        0,
+        "racks heal to empty"
+    );
+    assert_eq!(
+        (
+            report.rounds,
+            report.total_messages,
+            report.total_edges_added,
+            report.total_propagation_latency,
+            report.max_delta_ever
+        ),
+        (rounds, messages, edges_total, latency, max_delta),
+        "run report totals"
+    );
+}
+
+#[test]
+fn engine_batch_arm_matches_the_owned_reference_path() {
+    for seed in [4u64, 9, 31] {
+        let g = barabasi_albert(160, 3, &mut StdRng::seed_from_u64(seed));
+        assert_batch_arm_matches_reference(Dash, g.clone(), seed);
+        assert_batch_arm_matches_reference(Sdash, g, seed);
+    }
+    assert_batch_arm_matches_reference(Sdash, star_graph(40), 12);
 }

@@ -15,8 +15,12 @@
 //!    loudly here.
 //! 3. **Stream locking** — every stochastic event source derives its
 //!    private RNG from `(seed, source tag)`; the exact event prefixes
-//!    are pinned so schedules stay replayable from the seed alone.
+//!    are pinned so schedules stay replayable from the seed alone, and
+//!    every source lends through `next_event_into` exactly the stream
+//!    its owned `next_event` gives.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use selfheal::prelude::*;
 use selfheal_core::scenario::EventSource;
 
@@ -234,4 +238,92 @@ fn fleet_reports_violations_with_seeds() {
     }
     assert!(!auditor.ok());
     assert!(auditor.violations[0].contains("theorem 1.1"));
+}
+
+/// Drive two same-seeded copies of a source against one evolving network:
+/// the owned [`EventSource::next_event`] stream must equal the borrowed
+/// [`EventSource::next_event_into`] stream event for event. The borrowed
+/// copy reuses one `ids` buffer across events, as the engine does, so a
+/// source that leaves stale payload behind fails here.
+fn assert_borrowed_stream_matches_owned<S: EventSource>(
+    mut owned: S,
+    mut borrowed: S,
+    net: HealingNetwork,
+    max_events: usize,
+) -> usize {
+    let mut engine = ScenarioEngine::new(net, Dash, ScriptedEvents::default());
+    let mut ids = Vec::new();
+    for i in 0..max_events {
+        let event = owned.next_event(&engine.net);
+        let lent = borrowed.next_event_into(&engine.net, &mut ids);
+        assert_eq!(
+            event.as_ref().map(NetworkEvent::as_event_ref),
+            lent,
+            "{}: event {i}",
+            owned.name()
+        );
+        let Some(event) = event else {
+            return i;
+        };
+        engine.apply(event);
+    }
+    max_events
+}
+
+/// Every core source, including the `Adversary` blanket adapter and the
+/// boxed trait object, lends the same stream it would hand over owned,
+/// across seeds and all three event kinds.
+#[test]
+fn borrowed_event_streams_match_owned_streams() {
+    let net = |seed: u64| {
+        let g = generators::barabasi_albert(96, 3, &mut StdRng::seed_from_u64(seed));
+        HealingNetwork::new(g, seed)
+    };
+    let script = || {
+        ScriptedEvents::new((0..90u32).map(|i| match i % 3 {
+            0 => NetworkEvent::Delete(NodeId(i)),
+            1 => NetworkEvent::DeleteBatch(vec![NodeId(i), NodeId(i + 7), NodeId(i / 2)]),
+            _ => NetworkEvent::Join {
+                neighbors: vec![NodeId(i / 3), NodeId(i + 1)],
+            },
+        }))
+    };
+    let boxed = |seed: u64| Box::new(RackPartition::new(seed, 5)) as Box<dyn EventSource>;
+    let mut events = 0;
+    for seed in [3u64, 17, 2026] {
+        events += assert_borrowed_stream_matches_owned(MaxNode, MaxNode, net(seed), 400);
+        events += assert_borrowed_stream_matches_owned(boxed(seed), boxed(seed), net(seed), 400);
+        events += assert_borrowed_stream_matches_owned(script(), script(), net(seed), 400);
+        events += assert_borrowed_stream_matches_owned(
+            DegreeBatches::new(4),
+            DegreeBatches::new(4),
+            net(seed),
+            400,
+        );
+        events += assert_borrowed_stream_matches_owned(
+            RandomChurn::new(seed),
+            RandomChurn::new(seed),
+            net(seed),
+            400,
+        );
+        events += assert_borrowed_stream_matches_owned(
+            EpidemicChurn::new(seed, 0.3),
+            EpidemicChurn::new(seed, 0.3),
+            net(seed),
+            400,
+        );
+        events += assert_borrowed_stream_matches_owned(
+            FlashCrowd::new(seed, 40, 4),
+            FlashCrowd::new(seed, 40, 4),
+            net(seed),
+            400,
+        );
+        events += assert_borrowed_stream_matches_owned(
+            RackPartition::new(seed, 8),
+            RackPartition::new(seed, 8),
+            net(seed),
+            400,
+        );
+    }
+    assert!(events > 2000, "only {events} events compared");
 }
