@@ -185,9 +185,10 @@ loom-check-full:
 	LOOM_FULL=1 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-graph --test loom -- --nocapture
 	LOOM_FULL=1 RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom $(CARGO) test --release -q -p selfheal-bench --test loom -- --nocapture
 
-## API docs for the workspace crates only.
+## API docs for the workspace crates only. Any rustdoc warning (e.g. a
+## link left dangling by a deleted module) fails the build.
 doc:
-	$(CARGO) doc --no-deps --workspace
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
 fmt:
 	$(CARGO) fmt

@@ -133,8 +133,7 @@ pub mod baseline {
     //! record wins), serializes the merged set as the checked-in
     //! `BENCH_<pr>.json` baseline, and compares a fresh export against a
     //! baseline with a median + MAD tolerance. Everything is hand-rolled
-    //! over the flat record grammar — no serde, keeping the bench crate
-    //! dependency-free.
+    //! over the flat record grammar, keeping the bench crate dependency-free.
 
     use std::collections::BTreeMap;
     use std::fmt::Write as _;

@@ -1,11 +1,12 @@
 //! DASH as a real message-passing protocol on `selfheal-sim`.
 //!
-//! The engine in [`crate::engine`] runs DASH as a centralized graph
-//! transformation with *modeled* message accounting. This module runs the
-//! same algorithm as an actual distributed protocol: deletions are
-//! detected by neighbors, reconnection happens through one-hop
-//! coordination, and the minimum-ID broadcast of Algorithm 1 step 5 is
-//! carried by real unit-latency messages flooding the healing forest.
+//! [`ScenarioEngine`](crate::scenario::ScenarioEngine) runs DASH as a
+//! centralized graph transformation with *modeled* message accounting.
+//! This module runs the same algorithm as an actual distributed protocol:
+//! deletions are detected by neighbors, reconnection happens through
+//! one-hop coordination, and the minimum-ID broadcast of Algorithm 1
+//! step 5 is carried by real unit-latency messages flooding the healing
+//! forest.
 //! Integration tests assert the two implementations produce *identical*
 //! topologies, component IDs and message counts — the strongest evidence
 //! that the modeled accounting in the figures is faithful.

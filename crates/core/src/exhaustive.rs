@@ -230,7 +230,7 @@ impl Default for UniverseConfig {
 }
 
 /// Outcome of an exhaustive proving run. Counts are exact; at most
-/// [`MAX_KEPT`] violation messages are kept verbatim.
+/// `MAX_KEPT` violation messages are kept verbatim.
 #[derive(Clone, Debug, Default)]
 pub struct UniverseReport {
     /// Distinct canonical connected graphs exhausted (all `n ≤ max_n`).
@@ -244,7 +244,7 @@ pub struct UniverseReport {
     pub batch_runs: u64,
     /// Exact number of bound violations across all runs.
     pub violation_count: u64,
-    /// Up to [`MAX_KEPT`] violation messages, each naming graph, order
+    /// Up to `MAX_KEPT` violation messages, each naming graph, order
     /// and healer for replay.
     pub violations: Vec<String>,
     /// Whether violation messages were dropped after the cap.

@@ -88,7 +88,7 @@ pub struct ExplorerReport {
     pub checked: u64,
     /// Exact number of parity violations found.
     pub violation_count: u64,
-    /// Up to [`MAX_KEPT`] violation messages, each naming the victim
+    /// Up to `MAX_KEPT` violation messages, each naming the victim
     /// orders that produced it.
     pub violations: Vec<String>,
     /// Whether violation messages were dropped after the cap.

@@ -12,11 +12,10 @@
 //! - weight conservation — `W* + lost = n` (used by Lemma 5's proof).
 //!
 //! The function-level checks are composed two ways: [`check_all`] (one
-//! state, all lemmas) and [`TheoremAuditor`] — an
-//! [`Observer`](crate::scenario::Observer) enforcing the *whole* of
-//! Theorem 1 (including the per-node ID-change, message and amortized
-//! latency bounds that previously lived only in the integration tests)
-//! after every event of a run, so a sweep over thousands of seeds can
+//! state, all lemmas) and [`TheoremAuditor`] — an [`Observer`] enforcing
+//! the *whole* of Theorem 1 (including the per-node ID-change, message
+//! and amortized latency bounds that previously lived only in the
+//! integration tests) after every event of a run, so a sweep over thousands of seeds can
 //! report the exact seed and event of any bound violation.
 
 use crate::scenario::{EventKind, EventRecord, Observer, ScenarioReport};
@@ -249,7 +248,7 @@ pub struct TheoremAuditor {
     /// [`with_connectivity_check`](Self::with_connectivity_check).
     check_connectivity: bool,
     /// Violations found, prefixed with the event number (capped at
-    /// [`MAX_VIOLATIONS`]; `truncated` records overflow).
+    /// `MAX_VIOLATIONS`; `truncated` records overflow).
     pub violations: Vec<String>,
     /// Whether findings were dropped after the cap.
     pub truncated: bool,
@@ -414,10 +413,9 @@ struct FamilyBounds {
     check_stretch: bool,
 }
 
-/// The new healer families' *own* theorems as an
-/// [`Observer`](crate::scenario::Observer), complementing
-/// [`TheoremAuditor`] (whose numeric bounds are Theorem 1's and are
-/// waived for families that legitimately break them):
+/// The new healer families' *own* theorems as an [`Observer`],
+/// complementing [`TheoremAuditor`] (whose numeric bounds are Theorem
+/// 1's and are waived for families that legitimately break them):
 ///
 /// - **degree**: after every deletion event, each survivor's degree gain
 ///   is at most `gain_per_victim ×` the number of victims it was
@@ -437,7 +435,7 @@ pub struct FamilyAuditor {
     /// The graph as of *before* the event being observed.
     prev: selfheal_graph::Graph,
     /// Violations found, prefixed with the event number (capped at
-    /// [`MAX_VIOLATIONS`]; `truncated` records overflow).
+    /// `MAX_VIOLATIONS`; `truncated` records overflow).
     pub violations: Vec<String>,
     /// Whether findings were dropped after the cap.
     pub truncated: bool,

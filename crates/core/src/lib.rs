@@ -36,7 +36,6 @@ pub mod batch;
 pub mod dash;
 pub mod distributed;
 pub mod distributed_runner;
-pub mod engine;
 pub mod exhaustive;
 pub mod explore;
 pub mod ftree;
@@ -57,14 +56,14 @@ pub mod sweep;
 pub use dash::Dash;
 pub use distributed::{DistributedDash, HealMode};
 pub use distributed_runner::{DistEventRecord, DistScenarioReport, DistributedScenarioRunner};
-pub use engine::{AuditLevel, Engine, EngineReport};
 pub use exhaustive::{run_universe, SmallGraph, UniverseConfig, UniverseReport};
 pub use explore::{check_seeded_orders, explore_events, ExplorerConfig, ExplorerReport};
 pub use ftree::ForgivingTree;
 pub use invariants::{FamilyAuditor, TheoremAuditor, TheoremBounds};
 pub use ring::RingForgiving;
 pub use scenario::{
-    EventRecord, EventRef, EventSource, NetworkEvent, Observer, ScenarioEngine, ScenarioReport,
+    AuditLevel, EventRecord, EventRef, EventSource, NetworkEvent, Observer, ScenarioEngine,
+    ScenarioReport,
 };
 pub use sdash::Sdash;
 pub use snapshot::StateSnapshot;

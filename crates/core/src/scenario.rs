@@ -3,19 +3,16 @@
 //! The paper's model is a *sequence of reconfiguration events*: an
 //! omniscient adversary deletes nodes (one at a time, or simultaneously
 //! per footnote 1), new nodes join, and after every event the healer
-//! reconnects and the minimum component ID is broadcast. Earlier
-//! revisions of this repo drove those three shapes through three disjoint
-//! code paths (`engine::Engine` for one victim per round, free functions
-//! in [`crate::batch`] for independent-set batches, and hand-rolled churn
-//! loops in tests). This module unifies them:
+//! reconnects and the minimum component ID is broadcast. This module
+//! runs all three shapes through one loop:
 //!
 //! - [`NetworkEvent`] — the vocabulary: `Delete`, `DeleteBatch`, `Join`
 //!   (owned, the wire and spec type), with [`EventRef`] as its borrowed
 //!   form;
 //! - [`EventSource`] — anything that emits events against the evolving
 //!   network, writing batch and join payloads into a borrowed buffer;
-//!   every [`Adversary`](crate::attack::Adversary) is one via a blanket
-//!   adapter (its picks become `Delete` events);
+//!   every [`Adversary`] is one via a blanket adapter (its picks become
+//!   `Delete` events);
 //! - [`Observer`] — a pluggable per-event hook (invariant auditing,
 //!   metric-series collection and record logging all plug in here);
 //! - [`ScenarioEngine`] — the one loop that consumes any event stream.
@@ -30,9 +27,8 @@
 //! plain `Copy` data. `crates/bench/tests/alloc.rs` pins this for
 //! `Delete`, `DeleteBatch` and `Join` streams.
 //!
-//! For a pure `Delete` stream the engine is round-for-round identical to
-//! the legacy [`Engine`](crate::engine::Engine) shim — `tests/golden.rs`
-//! pins that equivalence to exact message/edge counts.
+//! `tests/golden.rs` pins pure `Delete` runs to exact message and edge
+//! counts.
 
 use crate::attack::Adversary;
 use crate::batch::{delete_validated_batch_into, heal_batch_into, independent_victims};
@@ -408,10 +404,10 @@ pub struct RandomChurn {
 }
 
 impl RandomChurn {
-    /// Tag for [`source_stream`]: `b"churn"` packed big-endian.
+    /// Tag for `source_stream`: `b"churn"` packed big-endian.
     pub const STREAM_TAG: u64 = 0x63_68_75_72_6e;
 
-    /// Seeded churn stream (private tagged RNG; see [`source_stream`]).
+    /// Seeded churn stream (private tagged RNG; see `source_stream`).
     pub fn new(seed: u64) -> Self {
         RandomChurn {
             rng: source_stream(seed, Self::STREAM_TAG),
@@ -605,7 +601,7 @@ impl Observer for AuditObserver {
         let check_rem = self.level == AuditLevel::Full;
         let rep = invariants::check_all(net, self.preserves_forest, check_rem);
         for v in rep.violations {
-            // Healing rounds keep the legacy "round N" label; joins and
+            // Healing rounds are labelled "round N"; joins and
             // sanitized no-ops carry no round, so attribute those to
             // their (always unique) event number instead.
             let label = if record.kind != EventKind::Join && record.victims > 0 {
@@ -618,9 +614,8 @@ impl Observer for AuditObserver {
     }
 }
 
-/// Aggregate statistics over a scenario run. A superset of the legacy
-/// `EngineReport`: for pure `Delete` streams `rounds`/`deletions`/totals
-/// coincide with the old per-round accounting exactly.
+/// Aggregate statistics over a scenario run. For pure `Delete` streams
+/// `rounds` equals `deletions`.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioReport {
     /// Events consumed (all kinds, including sanitized no-ops).
@@ -689,9 +684,8 @@ pub struct ScenarioEngine<H: Healer, S: EventSource> {
 /// How many consecutive sanitized no-op events (dead victims, skipped
 /// joins) the engine tolerates before panicking. Finite scripted
 /// schedules with stale references stay well under this; only an event
-/// source stuck in a loop — e.g. an adversary with the classic
-/// pick-a-dead-node bug, which the legacy engine caught with a panic —
-/// can reach it, and a loud failure beats a silent infinite
+/// source stuck in a loop — e.g. an adversary that keeps picking a
+/// dead node — can reach it, and a loud failure beats a silent infinite
 /// `run_to_empty`.
 pub const NO_PROGRESS_LIMIT: u64 = 4096;
 
@@ -764,8 +758,7 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
     ///
     /// # Panics
     /// Panics after [`NO_PROGRESS_LIMIT`] consecutive no-op events — the
-    /// signature of an event source stuck on dead nodes (the bug the
-    /// legacy engine's "adversary picked a dead node" panic caught).
+    /// signature of an event source stuck on dead nodes.
     pub fn apply_with(&mut self, event: NetworkEvent, observer: &mut dyn Observer) -> EventRecord {
         self.dispatch(event.as_event_ref(), observer)
     }
@@ -948,9 +941,8 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{MaxNode, NeighborOfMax, Scripted};
+    use crate::attack::{MaxNode, Scripted};
     use crate::dash::Dash;
-    use crate::engine::Engine;
     use crate::naive::NoHeal;
     use crate::sdash::Sdash;
     use rand::rngs::StdRng;
@@ -994,23 +986,6 @@ mod tests {
         assert!(err("delete x").contains("invalid node id 'x'"));
         assert!(err("delete-batch 1 -2").contains("invalid node id '-2'"));
         assert!(err("join 4294967296").contains("invalid node id"));
-    }
-
-    #[test]
-    fn adversary_adapter_matches_legacy_engine_exactly() {
-        let mut legacy = Engine::new(ba_net(48, 5), Dash, NeighborOfMax::new(5));
-        let mut unified = ScenarioEngine::new(ba_net(48, 5), Dash, NeighborOfMax::new(5));
-        let old = legacy.run_to_empty();
-        let new = unified.run_to_empty();
-        assert_eq!(new.rounds, old.rounds);
-        assert_eq!(new.deletions, old.rounds);
-        assert_eq!(new.max_delta_ever, old.max_delta_ever);
-        assert_eq!(new.max_id_changes, old.max_id_changes);
-        assert_eq!(new.max_traffic, old.max_traffic);
-        assert_eq!(new.total_messages, old.total_messages);
-        assert_eq!(new.total_edges_added, old.total_edges_added);
-        assert_eq!(new.total_propagation_latency, old.total_propagation_latency);
-        assert_eq!(new.max_propagation_latency, old.max_propagation_latency);
     }
 
     #[test]
@@ -1131,8 +1106,7 @@ mod tests {
     }
 
     /// A source stuck on dead nodes must fail loudly, not hang
-    /// `run_to_empty` — the unified-engine version of the legacy
-    /// "adversary picked a dead node" panic.
+    /// `run_to_empty`.
     #[test]
     #[should_panic(expected = "made no progress")]
     fn run_to_empty_panics_on_a_no_progress_source() {

@@ -12,9 +12,8 @@
 //! - [`HealerSpec`] — the canonical healer registry (all eight
 //!   strategies; [`HealerSpec::build`] constructs,
 //!   [`HealerSpec::heal_mode`] maps the fabric-capable strategies onto
-//!   [`HealMode`](crate::distributed::HealMode) and reports
-//!   [`SpecError::FabricUnsupported`] — naming both the healer and the
-//!   requested backend — for the rest);
+//!   [`HealMode`] and reports [`SpecError::FabricUnsupported`] — naming
+//!   both the healer and the requested backend — for the rest);
 //! - [`AdversarySpec`] — every event source in [`crate::attack`] and
 //!   [`crate::scenario`], plus the [`CuratedSchedule`] registry of
 //!   hand-curated mixed schedules the parity suites replay;
@@ -23,11 +22,11 @@
 //! - [`AuditSpec`] — per-event invariant checking up to the full
 //!   [`TheoremAuditor`].
 //!
-//! Specs have a stable, line-oriented `key = value` text form (the
-//! vendored serde is a no-op stub, so the format is hand-rolled on
-//! purpose): [`ScenarioSpec::parse`] and [`Display`](fmt::Display)
-//! round-trip exactly — `parse(to_string(spec)) == spec` is
-//! property-tested over the whole registry product — and the checked-in
+//! Specs have a stable, line-oriented `key = value` text form, hand-rolled
+//! so the workspace needs no serialization library.
+//! [`ScenarioSpec::parse`] and [`Display`](fmt::Display) round-trip
+//! exactly — `parse(to_string(spec)) == spec` is property-tested over
+//! the whole registry product — and the checked-in
 //! `specs/*.scn` files are parsed, validated and quick-run by
 //! `make spec-check`. One seed parameterizes everything (graph
 //! generation, ID permutation, adversary streams); sources derive
@@ -224,7 +223,9 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// Number of nodes the built graph will have.
+    /// Number of nodes the built graph will have. Meaningful only for a
+    /// spec that passed [`GraphSpec::validate`], which rejects a `grid`
+    /// whose node count overflows `usize`.
     pub fn node_count(&self) -> usize {
         match *self {
             GraphSpec::BarabasiAlbert { n, .. }
@@ -266,6 +267,9 @@ impl GraphSpec {
             GraphSpec::Grid { rows, cols } => {
                 if rows == 0 || cols == 0 {
                     return fail(format!("grid({rows}, {cols}) must be non-empty"));
+                }
+                if rows.checked_mul(cols).is_none() {
+                    return fail(format!("grid({rows}, {cols}) has too many nodes"));
                 }
             }
             GraphSpec::Path { n }
@@ -776,7 +780,8 @@ pub enum AuditSpec {
     /// The full [`TheoremAuditor`]: every Theorem 1 bound enforced per
     /// event plus the amortized-latency check at the end of the run.
     Theorems,
-    /// The exhaustive small-world prover ([`run_universe`]): instead of
+    /// The exhaustive small-world prover
+    /// ([`run_universe`](crate::exhaustive::run_universe)): instead of
     /// playing the spec's adversary, sweep **every** connected graph up
     /// to the spec graph's node count under every deletion order (plus
     /// representative batch partitions), auditing each run with the

@@ -6,7 +6,6 @@
 //! reconstruction tree, and keeps hot adjacency vectors half the size of a
 //! `usize`-based representation on 64-bit targets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node inside a [`crate::Graph`].
@@ -15,7 +14,7 @@ use std::fmt;
 /// `n` initial nodes uses ids `0..n`. Deleting a node never invalidates the
 /// ids of other nodes (the slot is tombstoned), so a `NodeId` observed at
 /// any point during a simulation remains a stable name for that node.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -69,7 +68,7 @@ impl From<NodeId> for u32 {
 ///
 /// The pair is stored in normalized (sorted) order so `Edge::new(a, b) ==
 /// Edge::new(b, a)`, making `Edge` usable as a set/map key.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     lo: NodeId,
     hi: NodeId,

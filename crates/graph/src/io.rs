@@ -1,18 +1,17 @@
-//! Graph (de)serialization: a serde-friendly value type, an edge-list text
-//! format, and Graphviz DOT export.
+//! Graph (de)serialization: a plain value type, an edge-list text format,
+//! and Graphviz DOT export.
 
 use crate::errors::{GraphError, Result};
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-/// A plain-old-data snapshot of a graph, suitable for serde and for the
-/// simple text formats below.
+/// A plain-old-data snapshot of a graph, the value behind the simple text
+/// formats below.
 ///
 /// Only live structure is captured: `node_count` is the number of *slots*
 /// and `dead` lists tombstoned ids so a round-trip reproduces liveness.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GraphData {
     /// Number of allocated node slots.
     pub node_count: usize,

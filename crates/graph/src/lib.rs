@@ -7,8 +7,7 @@
 //! and random graph generators, and simple serialization.
 //!
 //! Everything is written from scratch on the standard library plus `rand`
-//! (sampling), `crossbeam` (parallel result channels) and `serde`
-//! (snapshots); no external graph library is used.
+//! (sampling); no external graph library is used.
 //!
 //! ## Quick tour
 //! ```

@@ -5,7 +5,7 @@
 //! into a [`Csr`] snapshot, which is `Sync`, so the sweep parallelizes
 //! embarrassingly: sources are distributed over a small pool of scoped
 //! threads with dynamic (atomic-counter) load balancing, and per-thread
-//! partial results are folded through a crossbeam channel.
+//! partial results are folded through a bounded channel.
 //!
 //! One-shot sweeps spawn their threads per call ([`parallel_fold`]).
 //! Short rounds repeated many times — the serving cluster's ticks — run
@@ -13,20 +13,23 @@
 //! hand out items through the same claim loop.
 
 use crate::csr::Csr;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-// Under `--cfg loom` the dispatch counter, the fan-in channel (via the
-// crossbeam stand-in), and threads are the model checker's mocks,
-// making every claim/send/join a schedule point (`make loom-check`).
+// Under `--cfg loom` the dispatch counter, the fan-in channels, and
+// threads are the model checker's mocks, making every claim/send/join a
+// schedule point (`make loom-check`).
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicUsize, Ordering};
+#[cfg(loom)]
+use loom::sync::channel::{bounded, Receiver, Sender};
 #[cfg(loom)]
 use loom::thread::{scope, spawn, JoinHandle};
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicUsize, Ordering};
+#[cfg(not(loom))]
+use std::sync::mpsc::{sync_channel as bounded, Receiver, SyncSender as Sender};
 #[cfg(not(loom))]
 use std::thread::{scope, spawn, JoinHandle};
 
@@ -48,7 +51,7 @@ pub fn default_threads() -> usize {
 /// from a fresh `init()` accumulator and folds every item it claims
 /// (dynamically, via an atomic counter, so uneven per-item costs still
 /// balance); the partial accumulators fan into the caller through a
-/// crossbeam channel and are combined with `reduce`.
+/// bounded channel and are combined with `reduce`.
 ///
 /// The item-to-worker partition and the reduction order are unspecified:
 /// for a result that is independent of `threads`, `fold`/`reduce` must be

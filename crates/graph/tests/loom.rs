@@ -6,7 +6,7 @@
 //!   repair stranded relaxed hints through `&self` while other readers
 //!   repair concurrently and `clone` snapshots the hints mid-repair;
 //! - `parallel_fold`'s work dispatch: the relaxed `fetch_add` counter
-//!   hands every item to exactly one worker, and the crossbeam fan-in
+//!   hands every item to exactly one worker, and the channel fan-in
 //!   delivers every partial accumulator;
 //! - `WorkerPool`'s rounds: the same claim loop over a counter reset
 //!   between rounds, the per-helper wake hand-off, the fan-in of one

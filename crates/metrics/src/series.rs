@@ -2,10 +2,9 @@
 //! in-memory form of every figure in the paper.
 
 use crate::stats::{summarize, Summary};
-use serde::{Deserialize, Serialize};
 
 /// One aggregated point of a curve.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SeriesPoint {
     /// Independent variable (graph size n for most figures).
     pub x: f64,
@@ -56,7 +55,7 @@ impl SeriesPoint {
 }
 
 /// A named curve (one line of a figure).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Series {
     /// Curve label (healing strategy name, usually).
     pub name: String,
@@ -102,7 +101,7 @@ impl Series {
 }
 
 /// A whole figure: several curves over a common x-axis.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Figure {
     /// Figure title (e.g. "Fig 8: maximum degree increase").
     pub title: String,

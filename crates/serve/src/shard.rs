@@ -6,9 +6,11 @@
 //! hostile input is rejected at [`Shard::submit`] with a readable
 //! error (oversized batches, out-of-range ids), and events the engine
 //! would treat as no-ops are counted and skipped *before* they reach
-//! [`ScenarioEngine::apply_with`] — so the engine's
-//! `NO_PROGRESS_LIMIT` stuck-source panic is unreachable no matter
-//! what a client streams at us.
+//! [`ScenarioEngine::apply_with`] — so the engine's `NO_PROGRESS_LIMIT`
+//! stuck-source panic is unreachable no matter what a client streams at
+//! us.
+//!
+//! [`ScenarioEngine::apply_with`]: selfheal_core::scenario::ScenarioEngine::apply_with
 
 use crate::snapshot::{slot_pair, SnapshotReader, SnapshotWriter};
 use selfheal_core::scenario::{NetworkEvent, NullObserver, Observer};

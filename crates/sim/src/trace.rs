@@ -1,12 +1,12 @@
 //! Bounded binary event trace.
 //!
 //! For debugging protocol runs the simulator can record every delivery
-//! and topology change into a compact fixed-width binary log (17 bytes
-//! per event in a [`bytes::BytesMut`] buffer) with a hard capacity so a
-//! runaway protocol cannot exhaust memory.
+//! and topology change into a compact fixed-width binary log with a hard
+//! capacity so a runaway protocol cannot exhaust memory. Each event is a
+//! 17-byte record: the kind byte, then the `u64` time and the `u32`
+//! operands `a` and `b`, all big-endian.
 
 use crate::time::SimTime;
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Kind of a traced event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,7 +43,7 @@ const RECORD_BYTES: usize = 1 + 8 + 4 + 4;
 /// usually the interesting ones when debugging a protocol — survive).
 #[derive(Debug)]
 pub struct TraceBuffer {
-    buf: BytesMut,
+    buf: Vec<u8>,
     capacity_events: usize,
     recorded: usize,
     /// Events that arrived after the buffer filled up.
@@ -54,7 +54,7 @@ impl TraceBuffer {
     /// A trace that can hold up to `capacity_events` events.
     pub fn new(capacity_events: usize) -> Self {
         TraceBuffer {
-            buf: BytesMut::with_capacity(capacity_events * RECORD_BYTES),
+            buf: Vec::with_capacity(capacity_events * RECORD_BYTES),
             capacity_events,
             recorded: 0,
             overflowed: 0,
@@ -67,10 +67,10 @@ impl TraceBuffer {
             self.overflowed += 1;
             return;
         }
-        self.buf.put_u8(kind as u8);
-        self.buf.put_u64(time.0);
-        self.buf.put_u32(a);
-        self.buf.put_u32(b);
+        self.buf.push(kind as u8);
+        self.buf.extend_from_slice(&time.0.to_be_bytes());
+        self.buf.extend_from_slice(&a.to_be_bytes());
+        self.buf.extend_from_slice(&b.to_be_bytes());
         self.recorded += 1;
     }
 
@@ -86,22 +86,21 @@ impl TraceBuffer {
 
     /// Decode all retained events.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.recorded);
-        let mut slice = &self.buf[..];
-        while slice.remaining() >= RECORD_BYTES {
-            let kind = match slice.get_u8() {
-                0 => TraceKind::Deliver,
-                1 => TraceKind::Kill,
-                2 => TraceKind::Link,
-                4 => TraceKind::Join,
-                _ => TraceKind::Drop,
-            };
-            let time = SimTime(slice.get_u64());
-            let a = slice.get_u32();
-            let b = slice.get_u32();
-            out.push(TraceEvent { kind, time, a, b });
-        }
-        out
+        self.buf
+            .chunks_exact(RECORD_BYTES)
+            .map(|r| TraceEvent {
+                kind: match r[0] {
+                    0 => TraceKind::Deliver,
+                    1 => TraceKind::Kill,
+                    2 => TraceKind::Link,
+                    4 => TraceKind::Join,
+                    _ => TraceKind::Drop,
+                },
+                time: SimTime(u64::from_be_bytes(std::array::from_fn(|i| r[1 + i]))),
+                a: u32::from_be_bytes(std::array::from_fn(|i| r[9 + i])),
+                b: u32::from_be_bytes(std::array::from_fn(|i| r[13 + i])),
+            })
+            .collect()
     }
 }
 
@@ -132,6 +131,29 @@ mod tests {
         assert_eq!(ev[3].kind, TraceKind::Drop);
         assert_eq!(ev[4].kind, TraceKind::Join);
         assert_eq!(ev[4].b, 2);
+    }
+
+    /// The on-buffer layout of one record: kind byte, then `u64` time,
+    /// `a` and `b`, all big-endian, 17 bytes in total.
+    #[test]
+    fn record_layout_is_fixed_width_big_endian() {
+        let mut t = TraceBuffer::new(1);
+        t.record(
+            TraceKind::Link,
+            SimTime(0x0102_0304_0506_0708),
+            0x0a0b_0c0d,
+            0x1a1b_1c1d,
+        );
+        assert_eq!(
+            t.buf,
+            [
+                2, // TraceKind::Link
+                0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // time
+                0x0a, 0x0b, 0x0c, 0x0d, // a
+                0x1a, 0x1b, 0x1c, 0x1d, // b
+            ]
+        );
+        assert_eq!(t.buf.len(), RECORD_BYTES);
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod prelude {
     pub use selfheal_core::distributed_runner::{
         DistEventRecord, DistScenarioReport, DistributedScenarioRunner,
     };
-    pub use selfheal_core::engine::{AuditLevel, Engine, EngineReport};
     pub use selfheal_core::exhaustive::{run_universe, SmallGraph, UniverseConfig, UniverseReport};
     pub use selfheal_core::explore::{
         check_seeded_orders, explore_events, ExplorerConfig, ExplorerReport,
@@ -62,9 +61,9 @@ pub mod prelude {
     pub use selfheal_core::oracle::OracleDash;
     pub use selfheal_core::ring::RingForgiving;
     pub use selfheal_core::scenario::{
-        AuditObserver, DegreeBatches, EventKind, EventRecord, EventRef, EventSource, NetworkEvent,
-        NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine, ScenarioReport,
-        ScriptedEvents,
+        AuditLevel, AuditObserver, DegreeBatches, EventKind, EventRecord, EventRef, EventSource,
+        NetworkEvent, NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine,
+        ScenarioReport, ScriptedEvents,
     };
     pub use selfheal_core::sdash::Sdash;
     pub use selfheal_core::spec::{

@@ -11,6 +11,8 @@
 //!    three fabric-capable healers.
 //! 3. **Checked-in specs** — every `specs/*.scn` parses, validates, and
 //!    round-trips through the text format.
+//! 4. **Validation** — a spec whose graph size overflows is rejected with
+//!    a readable error.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -251,6 +253,18 @@ fn checked_in_specs_parse_validate_and_round_trip() {
         );
     }
     assert!(seen >= 5, "expected checked-in specs, found {seen}");
+}
+
+/// A grid whose node count overflows `usize` is rejected with a readable
+/// error, not a multiplication overflow inside `validate`.
+#[test]
+fn overflowing_grid_spec_is_rejected() {
+    let text = "graph = grid(4294967296, 4294967297)\nhealer = dash\n\
+                adversary = max-node\nseed = 1\naudit = exhaustive\n";
+    let spec: ScenarioSpec = text.parse().expect("the spec is well-formed");
+    let err = spec.validate().expect_err("the grid overflows usize");
+    assert!(matches!(err, SpecError::Invalid(_)), "{err:?}");
+    assert!(err.to_string().contains("too many nodes"), "{err}");
 }
 
 /// The curated-schedule registry is the parity suite's schedule set: a
