@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test test-all bench bench-check bench-baseline bench-regress sim-parity sweep-check spec-check family-rank-check serve-check verify-exhaustive lint-custom loom-check loom-check-full doc fmt fmt-check clippy examples figures scale ci clean
+.PHONY: all build test test-all bench bench-check bench-baseline bench-regress bench-pair sim-parity sweep-check spec-check family-rank-check serve-check verify-exhaustive lint-custom loom-check loom-check-full doc fmt fmt-check clippy examples figures scale ci clean
 
 ## The checked-in perf baseline this PR's trajectory is gated against.
 ## Convention: one BENCH_<pr>.json per PR that moved performance; the
@@ -76,6 +76,21 @@ bench-regress:
 	  done; \
 	  exit $$st; \
 	fi
+
+## Paired end-to-end comparison against a base revision:
+## `make bench-pair BASE=<rev> PAIRS=10 [WORKLOADS=a,b]`.
+## Exports BASE into target/bench-pair/base, then alternates base and
+## working-tree runs of the BENCHMARK.json command per workload, on
+## seeds 11.. plus the held-out seed from healbench/meta.json, and
+## prints per metric both medians with quartiles, the head's win count
+## and a verdict against the metric's bound. Exits 1 on a regression or
+## a failed run. Each run takes about 20 s (BENCHMARK.json's 10 s plus
+## set-up), so PAIRS=10 over all four workloads takes about 25 minutes.
+BASE     ?= HEAD
+PAIRS    ?= 10
+bench-pair:
+	$(CARGO) run -q --release -p selfheal-bench --bin bench_pair -- \
+	  --base $(BASE) --pairs $(PAIRS) --workloads "$(WORKLOADS)"
 
 ## Distributed-vs-centralized parity gate: the curated parity suite, the
 ## randomized parity proptests, and the distributed fabric bench (whose

@@ -1,6 +1,6 @@
 //! Support library for the benchmark suite.
 //!
-//! Two std-only modules back the perf-trajectory tooling:
+//! Three std-only modules back the perf tooling:
 //!
 //! - [`alloc`]: a counting [`GlobalAlloc`](std::alloc::GlobalAlloc)
 //!   wrapper used by the zero-allocation steady-state test and by the
@@ -8,8 +8,14 @@
 //! - [`baseline`]: parse/merge/compare logic for the `BENCH_<pr>.json`
 //!   perf baselines recorded at the repo root (see the `baseline` binary
 //!   and the `bench-baseline` / `bench-regress` make targets).
+//! - [`pair`]: the statistics and JSON reading behind `make bench-pair`,
+//!   which compares a base revision with the working tree on the
+//!   end-to-end benchmark `BENCHMARK.json` declares (see the
+//!   `bench_pair` binary).
 //!
 //! The benchmarks themselves live in `benches/`.
+
+pub mod pair;
 
 pub mod alloc {
     //! Allocation counting via a wrapping global allocator.

@@ -4,20 +4,52 @@
 //! working size, a `Cluster::tick` performs no heap allocations on any
 //! thread: the pool's wake and fan-in hand-offs reuse their channels,
 //! each shard's engine reuses its scratch buffers, and each publish
-//! refills a snapshot buffer in place (`StateSnapshot::capture`).
+//! refreshes a snapshot buffer in place (`StateSnapshot::update`, or
+//! `capture` after a log overflow).
+//!
+//! Two tests, one per stream:
+//! - delete-only ticks allocate nothing at all;
+//! - mixed delete, `delete-batch` and join ticks allocate only to grow
+//!   per-node arrays for the slots joins add.
 //!
 //! The count is process-wide, because the pool's helper runs half the
-//! shards, so this check lives in its own test binary: another test
-//! running alongside would pollute the counter.
+//! shards, so these checks live in their own test binary and take a
+//! lock: a test running alongside would pollute the counter.
 
 use selfheal_bench::alloc::{total_allocations, CountingAlloc};
 use selfheal_core::scenario::NetworkEvent;
 use selfheal_core::spec::{AdversarySpec, AuditSpec, GraphSpec, HealerSpec, ScenarioSpec};
+use selfheal_graph::NodeId;
 use selfheal_serve::Cluster;
+use std::sync::{Mutex, MutexGuard};
 use std::vec::IntoIter;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole run: the counter is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A two-worker cluster serving DASH and SDASH on BA(`N`, 3), audit off.
+fn two_tenant_cluster() -> (Cluster, Vec<ScenarioSpec>) {
+    let mut cluster = Cluster::new(2);
+    let mut specs = Vec::new();
+    for (i, tenant) in TENANTS.iter().enumerate() {
+        let healer = [HealerSpec::Dash, HealerSpec::Sdash][i];
+        let graph = GraphSpec::BarabasiAlbert { n: N, m: 3 };
+        let mut spec = ScenarioSpec::new(graph, healer, AdversarySpec::MaxNode, 20080124);
+        spec.audit = AuditSpec::Off;
+        cluster.add_spec(tenant, &spec).expect("servable spec");
+        specs.push(spec);
+    }
+    (cluster, specs)
+}
 
 const N: usize = 4096;
 const TENANTS: [&str; 2] = ["dash", "sdash"];
@@ -38,16 +70,9 @@ fn max_node_victims(spec: &ScenarioSpec) -> IntoIter<NetworkEvent> {
 
 #[test]
 fn steady_state_two_worker_tick_allocates_nothing() {
-    let mut cluster = Cluster::new(2);
-    let mut victims = Vec::new();
-    for (i, tenant) in TENANTS.iter().enumerate() {
-        let healer = [HealerSpec::Dash, HealerSpec::Sdash][i];
-        let graph = GraphSpec::BarabasiAlbert { n: N, m: 3 };
-        let mut spec = ScenarioSpec::new(graph, healer, AdversarySpec::MaxNode, 20080124);
-        spec.audit = AuditSpec::Off;
-        cluster.add_spec(tenant, &spec).expect("servable spec");
-        victims.push(max_node_victims(&spec));
-    }
+    let _serial = serial();
+    let (cluster, specs) = two_tenant_cluster();
+    let mut victims: Vec<_> = specs.iter().map(max_node_victims).collect();
     // One tick: submit outside the measured region, then count every
     // allocation on every thread while the tick runs.
     let tick = |victims: &mut [IntoIter<NetworkEvent>]| {
@@ -85,4 +110,81 @@ fn steady_state_two_worker_tick_allocates_nothing() {
         block_no += 1;
     }
     assert!(block_no >= 8, "the steady state ran {block_no} blocks");
+}
+
+/// `PER_TICK` events for `tenant`, drawn from its published live set:
+/// half joins (one in four of them bare), a quarter single deletes and
+/// a quarter two-victim batches, so the population shrinks slowly.
+fn mixed_events(cluster: &Cluster, tenant: &str, x: &mut u64) -> Vec<NetworkEvent> {
+    let reader = cluster.reader(tenant).expect("served tenant");
+    let (_, live) = reader.read(|snap| snap.state.live_nodes().collect::<Vec<NodeId>>());
+    let mut next = || {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *x >> 24
+    };
+    let mut pick = || live[(next() % live.len() as u64) as usize];
+    (0..PER_TICK)
+        .map(|k| {
+            let (a, b) = (pick(), pick());
+            let two = if a == b { vec![a] } else { vec![a, b] };
+            match k % 8 {
+                0 => NetworkEvent::Join { neighbors: vec![] },
+                1..=3 => NetworkEvent::Join { neighbors: two },
+                4 | 5 => NetworkEvent::Delete(a),
+                _ => NetworkEvent::DeleteBatch(two),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn steady_state_mixed_ticks_allocate_only_for_new_node_slots() {
+    let _serial = serial();
+    let (cluster, _) = two_tenant_cluster();
+    let mut x = 0x5EED_u64;
+    // One tick: build and submit the events outside the measured
+    // region (a batch or join owns its `Vec`), then count every
+    // allocation on every thread while the tick runs.
+    let mut tick = || {
+        for tenant in TENANTS {
+            for event in mixed_events(&cluster, tenant, &mut x) {
+                cluster.submit(tenant, event).expect("valid event");
+            }
+        }
+        let before = total_allocations();
+        let (applied, skipped) = cluster.tick();
+        let allocs = total_allocations() - before;
+        assert_eq!(applied + skipped, 2 * PER_TICK as u64);
+        (allocs, applied)
+    };
+
+    // Warm-up: 1024 events, as in `alloc.rs`'s churn test. The first
+    // join doubles every per-node array once.
+    let ticks_per_block = 4096 / (2 * PER_TICK);
+    for _ in 0..1024 / (2 * PER_TICK) {
+        tick();
+    }
+
+    // Steady state: three blocks of 4096 events. About 6700 slots per
+    // tenant by the end, so the arrays never double again (at 8192); a
+    // block may allocate a few times while amortized buffers converge,
+    // but anything per event would cost thousands.
+    for block_no in 0..3 {
+        let (mut allocs, mut applied) = (0, 0);
+        for _ in 0..ticks_per_block {
+            let (a, n) = tick();
+            allocs += a;
+            applied += n;
+        }
+        assert!(
+            applied > 4000,
+            "block {block_no}: only {applied} of 4096 events applied"
+        );
+        assert!(
+            allocs < 64,
+            "block {block_no}: {allocs} allocation(s) during 4096 steady-state mixed events"
+        );
+    }
 }

@@ -126,12 +126,47 @@ pub struct HealScratch {
     pub ordered: Vec<NodeId>,
 }
 
+/// The slots a [`HealingNetwork`] mutated since the last
+/// [`HealingNetwork::take_touched`]: the log behind
+/// `StateSnapshot::update`. It has no room until the first drain sizes
+/// it to the initial node count, and it never grows: once full, further
+/// touches only mark it incomplete. So a touch never allocates, and an
+/// engine-only run, which never drains the log, pays one compare per
+/// touch and no memory. (A clone's log may have less room, and so
+/// overflows sooner.) Entries repeat freely: replaying a slot is
+/// idempotent.
+#[derive(Clone, Debug)]
+struct TouchLog {
+    slots: Vec<NodeId>,
+    full: bool,
+}
+
+impl TouchLog {
+    fn touch(&mut self, v: NodeId) {
+        if self.slots.len() < self.slots.capacity() {
+            self.slots.push(v);
+        } else {
+            self.full = true;
+        }
+    }
+}
+
 /// The mutable state of a self-healing simulation.
 ///
 /// Strategies mutate it only through [`HealingNetwork::delete_node`],
 /// [`HealingNetwork::add_heal_edge`] and
 /// [`HealingNetwork::propagate_min_id`], which keep `G`, `G'` and the
 /// bookkeeping consistent.
+///
+/// Every slot whose liveness, `G'` degree or component ID changes is
+/// logged, for [`HealingNetwork::take_touched`] to hand to a delta
+/// snapshot. The private fields make five sites the only ones that
+/// change those: [`join_node`](Self::join_node) logs the new slot,
+/// [`delete_node_into`](Self::delete_node_into) the victim and its `G'`
+/// neighbors, [`add_heal_edge`](Self::add_heal_edge) both endpoints of
+/// an edge new in `G'`, and [`propagate_min_id`](Self::propagate_min_id)
+/// and [`propagate_min_id_uniform`](Self::propagate_min_id_uniform)
+/// every node whose ID changes.
 #[derive(Clone, Debug)]
 pub struct HealingNetwork {
     g: Graph,
@@ -150,6 +185,7 @@ pub struct HealingNetwork {
     prop_latency_total: u64,
     scratch: PropagationScratch,
     heal_scratch: HealScratch,
+    touched: TouchLog,
 }
 
 impl HealingNetwork {
@@ -193,7 +229,28 @@ impl HealingNetwork {
             prop_latency_total: 0,
             scratch: PropagationScratch::default(),
             heal_scratch: HealScratch::default(),
+            touched: TouchLog {
+                slots: Vec::new(),
+                full: false,
+            },
         }
+    }
+
+    /// Copy the touched-slot log into `out` (replacing its contents) and
+    /// clear it. Returns whether the log is complete, that is whether it
+    /// holds every slot whose liveness, `G'` degree or component ID
+    /// changed since the previous call (or since [`new`](Self::new)).
+    ///
+    /// The log has no room before the first call, so that call reports
+    /// any earlier change as an overflow; it then sizes the log to
+    /// [`initial_node_count`](Self::initial_node_count) entries, and an
+    /// incomplete log from then on overflowed that many.
+    pub fn take_touched(&mut self, out: &mut Vec<NodeId>) -> bool {
+        out.clear();
+        out.extend_from_slice(&self.touched.slots);
+        self.touched.slots.clear();
+        self.touched.slots.reserve(self.n_initial);
+        !std::mem::take(&mut self.touched.full)
     }
 
     /// Borrow the network's heal-scratch buffers by value (`mem::take`):
@@ -262,6 +319,7 @@ impl HealingNetwork {
         self.id_changes.push(0);
         self.msgs_sent.push(0);
         self.msgs_recv.push(0);
+        self.touched.touch(v);
         Ok(v)
     }
 
@@ -389,6 +447,10 @@ impl HealingNetwork {
         ctx.gprime_neighbors.reserve(self.g.degree(v));
         self.gp.remove_node_into(v, &mut ctx.gprime_neighbors)?;
         self.g.remove_node_into(v, &mut ctx.g_neighbors)?;
+        self.touched.touch(v);
+        for &u in &ctx.gprime_neighbors {
+            self.touched.touch(u);
+        }
         let heir = ctx
             .gprime_neighbors
             .first()
@@ -412,6 +474,10 @@ impl HealingNetwork {
     pub fn add_heal_edge(&mut self, u: NodeId, v: NodeId) -> Result<(bool, bool), GraphError> {
         let new_g = self.g.ensure_edge(u, v)?;
         let new_gp = self.gp.ensure_edge(u, v)?;
+        if new_gp {
+            self.touched.touch(u);
+            self.touched.touch(v);
+        }
         Ok((new_g, new_gp))
     }
 
@@ -461,6 +527,7 @@ impl HealingNetwork {
         for &v in &scratch.reached {
             if self.comp_id[v.index()] > min_id {
                 self.comp_id[v.index()] = min_id;
+                self.touched.touch(v);
                 self.id_changes[v.index()] += 1;
                 report.changed += 1;
                 report.latency = report.latency.max(scratch.depth[v.index()] as u64);
@@ -529,6 +596,7 @@ impl HealingNetwork {
         }
         while let Some(v) = scratch.queue.pop_front() {
             self.comp_id[v.index()] = min_id;
+            self.touched.touch(v);
             self.id_changes[v.index()] += 1;
             report.changed += 1;
             report.latency = report.latency.max(scratch.depth[v.index()] as u64);

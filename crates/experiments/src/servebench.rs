@@ -148,7 +148,7 @@ pub fn run(scale: Scale, base_seed: u64, threads: usize) -> Soak {
                 let reader = cluster.reader(tenant).expect("served tenant");
                 // Deterministic despite the concurrent readers: the
                 // published snapshot only changes at tick barriers.
-                let (_, live) = reader.read(|snap| snap.state.live.clone());
+                let (_, live) = reader.read(|snap| snap.state.live_nodes().collect::<Vec<_>>());
                 // The population band below steers an *estimate* (est):
                 // skipped joins and duplicate-victim deletes make it
                 // drift from the true live count within a round, so it

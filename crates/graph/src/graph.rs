@@ -526,14 +526,6 @@ impl Graph {
             .map(|(i, _)| NodeId::from_index(i))
     }
 
-    /// Collect all live node ids (increasing order) into `out`, reusing
-    /// its allocation — the snapshot-capture path rebuilds this list
-    /// every epoch and must not allocate at steady state.
-    pub fn live_nodes_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.live_nodes());
-    }
-
     /// Collect the degree of every slot (dead slots report 0) into
     /// `out`, indexed by [`NodeId::index`] and sized to
     /// [`Graph::node_bound`], reusing its allocation.
@@ -733,11 +725,7 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3)).unwrap();
         g.remove_node(NodeId(1)).unwrap();
 
-        let mut live = vec![NodeId(99)]; // stale content must be cleared
-        g.live_nodes_into(&mut live);
-        assert_eq!(live, g.live_nodes().collect::<Vec<_>>());
-
-        let mut degs = vec![77u32];
+        let mut degs = vec![77u32]; // stale content must be cleared
         g.degrees_into(&mut degs);
         assert_eq!(degs.len(), g.node_bound());
         for (i, &d) in degs.iter().enumerate() {

@@ -164,7 +164,7 @@ pub fn answer_body(query: Query, snap: &ShardSnapshot) -> String {
     match query {
         Query::Components => {
             let _ = write!(out, "components {}:", snap.state.components.len());
-            for &(id, size) in &snap.state.components {
+            for (id, size) in snap.state.components.iter() {
                 let _ = write!(out, " {id}:{size}");
             }
         }

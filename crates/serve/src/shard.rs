@@ -30,7 +30,8 @@ pub const MAX_BATCH: usize = 1024;
 /// aggregate and audit counters, published as one atomic unit.
 #[derive(Clone, Debug, Default)]
 pub struct ShardSnapshot {
-    /// Topology summary (live set, components, degrees, deltas, `G'`).
+    /// Topology summary (live set, components, `G'` degrees and edge
+    /// count).
     pub state: StateSnapshot,
     /// Per-tenant aggregate metrics.
     pub stats: TenantStats,
@@ -55,6 +56,11 @@ pub struct Shard {
     queue: VecDeque<NetworkEvent>,
     writer: SnapshotWriter<ShardSnapshot>,
     reader: SnapshotReader<ShardSnapshot>,
+    /// The engine's touched-slot logs drained at the last two publishes
+    /// (`[older, newer]`) and whether each was complete: together they
+    /// cover every change since the spare snapshot was filled.
+    logs: [Vec<NodeId>; 2],
+    complete: [bool; 2],
 }
 
 impl Shard {
@@ -78,12 +84,22 @@ impl Shard {
                  universes and cannot be driven by a client event stream"
             ));
         }
-        let engine = spec
+        let mut engine = spec
             .build_engine()
             .map_err(|e| format!("tenant '{tenant}': {e}"))?;
         let auditor = (spec.audit == AuditSpec::Theorems)
             .then(|| TheoremAuditor::new(spec.healer.build().preserves_forest()));
-        let (writer, reader) = slot_pair(ShardSnapshot::default(), ShardSnapshot::default());
+        // Both slot values start as one full capture, and the log starts
+        // empty from there (this first drain also sizes it): every later
+        // spare is then a known state exactly two publishes old. The log
+        // never holds more than the initial node count, so the two
+        // copies never outgrow this.
+        let mut initial = ShardSnapshot::default();
+        initial.state.capture(&engine.net);
+        let n = engine.net.initial_node_count();
+        let mut logs = [Vec::with_capacity(n), Vec::with_capacity(n)];
+        engine.net.take_touched(&mut logs[1]);
+        let (writer, reader) = slot_pair(initial.clone(), initial);
         let mut shard = Shard {
             tenant: tenant.to_string(),
             engine,
@@ -92,6 +108,8 @@ impl Shard {
             queue: VecDeque::new(),
             writer,
             reader,
+            logs,
+            complete: [true, true],
         };
         shard.publish();
         Ok(shard)
@@ -209,13 +227,27 @@ impl Shard {
             + self.engine.report().violations.len()
     }
 
+    /// Publish the current state. The spare snapshot the writer refills
+    /// was filled two publishes ago (or is a copy of that, when a reader
+    /// still held it), so replaying the logs of this publish and the one
+    /// before brings it up to date; a log that overflowed forces a full
+    /// capture instead.
     fn publish(&mut self) {
+        self.logs.swap(0, 1);
+        self.complete.swap(0, 1);
+        self.complete[1] = self.engine.net.take_touched(&mut self.logs[1]);
+        let delta = self.complete == [true, true];
+        let [older, newer] = &self.logs;
         let engine = &self.engine;
         let stats = self.stats;
         let violations = self.violation_count();
         let pending = self.queue.len();
         self.writer.publish(|snap| {
-            snap.state.capture(&engine.net);
+            if delta {
+                snap.state.update(&engine.net, [older, newer]);
+            } else {
+                snap.state.capture(&engine.net);
+            }
             snap.stats = stats;
             snap.violations = violations;
             snap.pending = pending;

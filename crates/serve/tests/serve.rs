@@ -97,7 +97,7 @@ fn drive_stream(cluster: &Cluster, tenant: &str, rounds: usize, salt: u64) {
     let reader = cluster.reader(tenant).unwrap();
     let mut x = salt | 1;
     for round in 0..rounds {
-        let (_, live) = reader.read(|snap| snap.state.live.clone());
+        let (_, live) = reader.read(|snap| snap.state.live_nodes().collect::<Vec<_>>());
         if live.len() < 8 {
             break;
         }
@@ -230,10 +230,14 @@ fn concurrent_ticks_and_a_late_tenant_match_a_serial_replay() {
 fn concurrent_snapshot_readers_never_block_or_tear_during_a_soak() {
     let cluster = two_tenant_cluster(4);
     let stop = std::sync::atomic::AtomicBool::new(false);
+    // Readers that have read once. The soak starts only when both run:
+    // its ticks take well under a millisecond, so a reader thread the
+    // scheduler starts late could otherwise miss the soak entirely.
+    let started = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|s| {
         for tenant in ["churn", "epidemic"] {
             let reader = cluster.reader(tenant).unwrap();
-            let stop = &stop;
+            let (stop, started) = (&stop, &started);
             s.spawn(move || {
                 let mut reads = 0u64;
                 let mut last_epoch = 0;
@@ -242,7 +246,7 @@ fn concurrent_snapshot_readers_never_block_or_tear_during_a_soak() {
                         (
                             snap.state.live_count(),
                             snap.state.degrees.len(),
-                            snap.state.components.iter().map(|&(_, n)| n).sum::<usize>(),
+                            snap.state.components.iter().map(|(_, n)| n).sum::<usize>(),
                         )
                     });
                     // Internal consistency: component membership counts
@@ -252,9 +256,15 @@ fn concurrent_snapshot_readers_never_block_or_tear_during_a_soak() {
                     assert!(epoch >= last_epoch, "epoch went backwards");
                     last_epoch = epoch;
                     reads += 1;
+                    if reads == 1 {
+                        started.fetch_add(1, std::sync::atomic::Ordering::Release);
+                    }
                 }
                 assert!(reads > 0);
             });
+        }
+        while started.load(std::sync::atomic::Ordering::Acquire) < 2 {
+            std::thread::yield_now();
         }
         drive_stream(&cluster, "churn", 8, 0x11);
         drive_stream(&cluster, "epidemic", 8, 0x22);
