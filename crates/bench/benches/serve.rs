@@ -1,8 +1,9 @@
 //! Serving-layer throughput: snapshot reads under publish churn (the
 //! claim of `serve::snapshot` — queries never wait on a heal), the
 //! delta update every publish performs next to the full capture it
-//! falls back to, plus end-to-end cluster ticking with two tenant
-//! shards.
+//! falls back to, one event line through `Cluster::handle_line` with
+//! its allocations per line, plus end-to-end cluster ticking with two
+//! tenant shards.
 //!
 //! Every benchmark asserts its structural expectations (no torn pairs,
 //! exact per-tick event accounting), so `make bench` doubles as a smoke
@@ -11,6 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use selfheal_bench::alloc::{thread_allocations, CountingAlloc};
 use selfheal_core::dash::Dash;
 use selfheal_core::scenario::{NetworkEvent, RandomChurn, ScenarioEngine};
 use selfheal_core::snapshot::StateSnapshot;
@@ -23,6 +25,9 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Snapshot-read cost while a publisher churns as fast as it can. The
 /// assert catches torn reads, so this is also a stress test of the
@@ -223,6 +228,56 @@ fn served_spec(text: &str) -> ScenarioSpec {
     spec
 }
 
+/// Lines between the untimed ticks that drain the queue.
+const LINES_PER_TICK: usize = 64;
+
+/// One event line through `Cluster::handle_line`: split, tenant lookup,
+/// parse into the shard's queue and validation. The queue is drained by
+/// a tick every 64 lines, outside the timed region. The `delete` victim
+/// and the join's targets are deleted before timing starts, so those
+/// ticks skip every event and the network keeps its size. Each row is
+/// followed by the allocations per line on this thread, ticks excluded.
+fn bench_handle_line(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(1));
+
+    let mut cluster = Cluster::new(1);
+    cluster
+        .add_spec("churn", &served_spec(CHURN_SPEC))
+        .expect("servable spec");
+    assert_eq!(cluster.handle_line("churn delete-batch 5 21 40"), None);
+    cluster.tick();
+    for (name, line) in [
+        ("handle_line_delete", "churn delete 5"),
+        ("handle_line_join", "churn join 5 21 40"),
+    ] {
+        let drain = || {
+            if cluster.pending() == LINES_PER_TICK {
+                assert_eq!(cluster.tick(), (0, LINES_PER_TICK as u64));
+            }
+        };
+        group.bench_function(name, |b| {
+            b.iter_with_setup(drain, |()| cluster.handle_line(black_box(line)))
+        });
+        cluster.run_to_quiescence();
+        let lines = 64 * LINES_PER_TICK;
+        let mut allocs = 0;
+        for _ in 0..lines {
+            let before = thread_allocations();
+            assert_eq!(cluster.handle_line(line), None);
+            allocs += thread_allocations() - before;
+            drain();
+        }
+        println!(
+            "  {name:<40} allocs/line {:.3}",
+            allocs as f64 / lines as f64
+        );
+    }
+    group.finish();
+}
+
 /// End-to-end cluster ticking: 64 events per tenant per tick (an even
 /// delete/join mix drawn from the published live set, so the networks
 /// stay in a stable population band across iterations).
@@ -273,6 +328,7 @@ criterion_group!(
     bench_snapshot_reads,
     bench_snapshot_capture,
     bench_snapshot_update,
+    bench_handle_line,
     bench_cluster_tick
 );
 criterion_main!(benches);

@@ -7,10 +7,13 @@
 //! refreshes a snapshot buffer in place (`StateSnapshot::update`, or
 //! `capture` after a log overflow).
 //!
-//! Two tests, one per stream:
+//! Three tests:
 //! - delete-only ticks allocate nothing at all;
 //! - mixed delete, `delete-batch` and join ticks allocate only to grow
-//!   per-node arrays for the slots joins add.
+//!   per-node arrays for the slots joins add;
+//! - the same mixed stream as protocol lines through
+//!   `Cluster::handle_line`: event lines allocate nothing, and a `tick`
+//!   line only its reply and that growth.
 //!
 //! The count is process-wide, because the pool's helper runs half the
 //! shards, so these checks live in their own test binary and take a
@@ -112,10 +115,10 @@ fn steady_state_two_worker_tick_allocates_nothing() {
     assert!(block_no >= 8, "the steady state ran {block_no} blocks");
 }
 
-/// `PER_TICK` events for `tenant`, drawn from its published live set:
+/// `count` events for `tenant`, drawn from its published live set:
 /// half joins (one in four of them bare), a quarter single deletes and
 /// a quarter two-victim batches, so the population shrinks slowly.
-fn mixed_events(cluster: &Cluster, tenant: &str, x: &mut u64) -> Vec<NetworkEvent> {
+fn mixed_events(cluster: &Cluster, tenant: &str, x: &mut u64, count: usize) -> Vec<NetworkEvent> {
     let reader = cluster.reader(tenant).expect("served tenant");
     let (_, live) = reader.read(|snap| snap.state.live_nodes().collect::<Vec<NodeId>>());
     let mut next = || {
@@ -125,7 +128,7 @@ fn mixed_events(cluster: &Cluster, tenant: &str, x: &mut u64) -> Vec<NetworkEven
         *x >> 24
     };
     let mut pick = || live[(next() % live.len() as u64) as usize];
-    (0..PER_TICK)
+    (0..count)
         .map(|k| {
             let (a, b) = (pick(), pick());
             let two = if a == b { vec![a] } else { vec![a, b] };
@@ -149,7 +152,7 @@ fn steady_state_mixed_ticks_allocate_only_for_new_node_slots() {
     // allocation on every thread while the tick runs.
     let mut tick = || {
         for tenant in TENANTS {
-            for event in mixed_events(&cluster, tenant, &mut x) {
+            for event in mixed_events(&cluster, tenant, &mut x, PER_TICK) {
                 cluster.submit(tenant, event).expect("valid event");
             }
         }
@@ -185,6 +188,74 @@ fn steady_state_mixed_ticks_allocate_only_for_new_node_slots() {
         assert!(
             allocs < 64,
             "block {block_no}: {allocs} allocation(s) during 4096 steady-state mixed events"
+        );
+    }
+}
+
+#[test]
+fn steady_state_handle_line_allocates_only_for_tick_replies() {
+    let _serial = serial();
+    let (cluster, _) = two_tenant_cluster();
+    let mut x = 0x11FE_u64;
+    // Event lines per tenant per tick: 128 events a tick, as the
+    // serve-ingest benchmark sends, so a block has 32 `tick` replies.
+    const LINES: usize = 64;
+    // One tick as protocol lines: render the event lines outside the
+    // measured region, then count every allocation on every thread while
+    // the event lines run, and again through the `tick` line.
+    let mut tick = || {
+        let mut lines = Vec::new();
+        for tenant in TENANTS {
+            for event in mixed_events(&cluster, tenant, &mut x, LINES) {
+                lines.push(format!("{tenant} {event}"));
+            }
+        }
+        let before = total_allocations();
+        for line in &lines {
+            assert!(cluster.handle_line(line).is_none(), "'{line}' was rejected");
+        }
+        let events = total_allocations() - before;
+        let reply = cluster.handle_line("tick");
+        let all = total_allocations() - before;
+        let reply = reply.expect("a tick replies");
+        let counts: Vec<u64> = reply
+            .split_whitespace()
+            .filter_map(|w| w.parse().ok())
+            .collect();
+        assert_eq!(counts.iter().sum::<u64>(), 2 * LINES as u64, "{reply}");
+        (events, all, counts[0])
+    };
+
+    // Warm-up: 1024 events, as in the mixed `submit` test. The shard
+    // queues reach their working size in the first tick.
+    let ticks_per_block = 4096 / (2 * LINES);
+    for _ in 0..1024 / (2 * LINES) {
+        tick();
+    }
+
+    // Steady state: three blocks of 4096 events. Event lines must not
+    // allocate at all. A block's 32 `tick` lines allocate their replies
+    // and, now and then, a grown per-node array or buffer.
+    for block_no in 0..3 {
+        let (mut events, mut all, mut applied) = (0, 0, 0);
+        for _ in 0..ticks_per_block {
+            let (e, a, n) = tick();
+            events += e;
+            all += a;
+            applied += n;
+        }
+        assert!(
+            applied > 4000,
+            "block {block_no}: only {applied} of 4096 events applied"
+        );
+        assert_eq!(
+            events, 0,
+            "block {block_no}: event lines allocated {events} time(s)"
+        );
+        assert!(
+            all < 64,
+            "block {block_no}: {all} allocation(s) during 4096 steady-state \
+             events as lines, `tick` lines included"
         );
     }
 }

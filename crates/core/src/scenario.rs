@@ -138,41 +138,20 @@ impl std::fmt::Display for NetworkEvent {
 impl std::str::FromStr for NetworkEvent {
     type Err = String;
 
-    /// Parse the wire form produced by `Display`. Errors are complete
-    /// sentences naming the offending token, in the same hand-rolled
-    /// style as [`crate::spec`] — the serving layer surfaces them to
-    /// clients verbatim.
+    /// Parse the wire form produced by `Display`: [`EventRef::parse_into`]
+    /// with a fresh payload buffer, which a batch or join keeps.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut words = s.split_whitespace();
-        let keyword = words.next().ok_or_else(|| "empty event".to_string())?;
-        let parse_ids = |words: std::str::SplitWhitespace<'_>| -> Result<Vec<NodeId>, String> {
-            words
-                .map(|w| {
-                    w.parse::<u32>()
-                        .map(NodeId)
-                        .map_err(|_| format!("invalid node id '{w}'"))
-                })
-                .collect()
+        let mut ids = Vec::new();
+        let join = match EventRef::parse_into(s, &mut ids)? {
+            EventRef::Delete(v) => return Ok(NetworkEvent::Delete(v)),
+            EventRef::DeleteBatch(_) => false,
+            EventRef::Join(_) => true,
         };
-        match keyword {
-            "delete" => {
-                let ids = parse_ids(words)?;
-                match ids.as_slice() {
-                    [v] => Ok(NetworkEvent::Delete(*v)),
-                    _ => Err(format!(
-                        "'delete' takes exactly one node id, got {}",
-                        ids.len()
-                    )),
-                }
-            }
-            "delete-batch" => Ok(NetworkEvent::DeleteBatch(parse_ids(words)?)),
-            "join" => Ok(NetworkEvent::Join {
-                neighbors: parse_ids(words)?,
-            }),
-            other => Err(format!(
-                "unknown event '{other}' (expected delete, delete-batch, or join)"
-            )),
-        }
+        Ok(if join {
+            NetworkEvent::Join { neighbors: ids }
+        } else {
+            NetworkEvent::DeleteBatch(ids)
+        })
     }
 }
 
@@ -189,6 +168,71 @@ pub enum EventRef<'a> {
     /// See [`NetworkEvent::Join`]; the slice holds the attachment
     /// targets.
     Join(&'a [NodeId]),
+}
+
+impl<'a> EventRef<'a> {
+    /// Parse the wire form produced by [`NetworkEvent`]'s `Display`: the
+    /// one event parser. A batch's victims or a join's targets are
+    /// appended to `ids` and lent back as the event's slice; a `delete`
+    /// leaves `ids` untouched, and so does every error. So a caller that
+    /// keeps one `ids` across events parses without allocating.
+    ///
+    /// Errors are complete sentences naming the offending token, in the
+    /// same hand-rolled style as [`crate::spec`]; the serving layer
+    /// surfaces them to clients verbatim. Every id token is checked
+    /// before a `delete`'s arity is.
+    pub fn parse_into(s: &str, ids: &'a mut Vec<NodeId>) -> Result<EventRef<'a>, String> {
+        let mut words = s.split_whitespace();
+        let keyword = words.next().ok_or_else(|| "empty event".to_string())?;
+        let parse_id = |w: &str| {
+            w.parse::<u32>()
+                .map(NodeId)
+                .map_err(|_| format!("invalid node id '{w}'"))
+        };
+        match keyword {
+            "delete" => {
+                let (mut victim, mut count) = (None, 0usize);
+                for w in words {
+                    victim = victim.or(Some(parse_id(w)?));
+                    count += 1;
+                }
+                match victim {
+                    Some(v) if count == 1 => Ok(EventRef::Delete(v)),
+                    _ => Err(format!("'delete' takes exactly one node id, got {count}")),
+                }
+            }
+            "delete-batch" | "join" => {
+                let start = ids.len();
+                for w in words {
+                    match parse_id(w) {
+                        Ok(v) => ids.push(v),
+                        Err(e) => {
+                            ids.truncate(start);
+                            return Err(e);
+                        }
+                    }
+                }
+                let payload = &ids[start..];
+                Ok(if keyword == "join" {
+                    EventRef::Join(payload)
+                } else {
+                    EventRef::DeleteBatch(payload)
+                })
+            }
+            other => Err(format!(
+                "unknown event '{other}' (expected delete, delete-batch, or join)"
+            )),
+        }
+    }
+
+    /// This event's kind.
+    pub fn kind(self) -> EventKind {
+        match self {
+            EventRef::Delete(_) => EventKind::Delete,
+            EventRef::DeleteBatch(_) => EventKind::DeleteBatch,
+            EventRef::Join(_) => EventKind::Join,
+        }
+    }
 }
 
 impl NetworkEvent {
@@ -744,28 +788,24 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         let record = self
             .source
             .next_event_into(&self.net, &mut ids)
-            .map(|event| self.dispatch(event, observer));
+            .map(|event| self.apply_with(event, observer));
         self.ids = ids;
         record
     }
 
     /// Apply one externally supplied event (bypassing the source).
     pub fn apply(&mut self, event: NetworkEvent) -> EventRecord {
-        self.apply_with(event, &mut NullObserver)
+        self.apply_with(event.as_event_ref(), &mut NullObserver)
     }
 
-    /// [`ScenarioEngine::apply`] with an external observer.
+    /// [`ScenarioEngine::apply`] on a borrowed event, with an external
+    /// observer: the one dispatch behind every event the engine applies,
+    /// [`ScenarioEngine::step_with`]'s included.
     ///
     /// # Panics
     /// Panics after [`NO_PROGRESS_LIMIT`] consecutive no-op events — the
     /// signature of an event source stuck on dead nodes.
-    pub fn apply_with(&mut self, event: NetworkEvent, observer: &mut dyn Observer) -> EventRecord {
-        self.dispatch(event.as_event_ref(), observer)
-    }
-
-    /// The one dispatch behind [`ScenarioEngine::step_with`] and
-    /// [`ScenarioEngine::apply_with`].
-    fn dispatch(&mut self, event: EventRef<'_>, observer: &mut dyn Observer) -> EventRecord {
+    pub fn apply_with(&mut self, event: EventRef<'_>, observer: &mut dyn Observer) -> EventRecord {
         self.report.events += 1;
         let record = match event {
             EventRef::Delete(v) => self.apply_delete(v),

@@ -60,8 +60,8 @@ use crate::distributed_runner::{DistEventRecord, DistScenarioReport, Distributed
 use crate::explore::{explore_events, ExplorerConfig};
 use crate::invariants::TheoremAuditor;
 use crate::scenario::{
-    AuditLevel, EventRecord, EventSource, NetworkEvent, RecordLog, ScenarioEngine, ScenarioReport,
-    ScriptedEvents,
+    AuditLevel, EventRecord, EventSource, NetworkEvent, NullObserver, RecordLog, ScenarioEngine,
+    ScenarioReport, ScriptedEvents,
 };
 use crate::state::HealingNetwork;
 use crate::strategy::Healer;
@@ -1151,10 +1151,9 @@ impl ScenarioSpec {
                 break;
             };
             events += 1;
-            let record = if let Some(auditor) = auditor.as_mut() {
-                engine.apply_with(event.clone(), auditor)
-            } else {
-                engine.apply(event.clone())
+            let record = match auditor.as_mut() {
+                Some(auditor) => engine.apply_with(event.as_event_ref(), auditor),
+                None => engine.apply_with(event.as_event_ref(), &mut NullObserver),
             };
             if let Some(log) = log.as_mut() {
                 log.records.push(record);

@@ -18,14 +18,21 @@
 //! shards inline and spawns no thread.
 
 use crate::lock;
-use crate::proto::{answer_body, parse_request, Query, Request};
+use crate::proto::{answer_body, parse_line, Query, RequestRef};
 use crate::shard::{Shard, ShardSnapshot};
 use crate::snapshot::SnapshotReader;
 use selfheal_core::scenario::NetworkEvent;
 use selfheal_core::spec::ScenarioSpec;
 use selfheal_graph::parallel::WorkerPool;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+/// Bytes reserved for a query reply, plus 32 per component for
+/// `components`: room for a `stats` reply whose counters have up to 12
+/// digits each, so a reply is rendered in one allocation. A longer one
+/// only grows the string.
+const REPLY_BYTES: usize = 256;
 
 /// Per-tick `(applied, skipped)` event counts.
 type Counts = (u64, u64);
@@ -158,6 +165,17 @@ impl Cluster {
             })
     }
 
+    /// Enqueue one event given in its wire form, parsed straight into
+    /// the tenant's queue under the shard lock. A line naming an unknown
+    /// tenant is parsed into a throwaway event first, so its syntax
+    /// error still wins, as on the [`Cluster::submit`] route.
+    fn submit_text(&self, tenant: &str, event: &str) -> Result<(), String> {
+        match self.index_of(tenant) {
+            Ok(i) => lock(&self.shards[i]).submit_text(event),
+            Err(unknown) => Err(event.parse::<NetworkEvent>().err().unwrap_or(unknown)),
+        }
+    }
+
     /// Enqueue one event on a tenant's shard.
     pub fn submit(&self, tenant: &str, event: NetworkEvent) -> Result<(), String> {
         let i = self.index_of(tenant)?;
@@ -175,8 +193,16 @@ impl Cluster {
     /// on a heal.
     pub fn query(&self, tenant: &str, query: Query) -> Result<String, String> {
         let i = self.index_of(tenant)?;
-        let (epoch, body) = self.readers[i].read(|snap| answer_body(query, snap));
-        Ok(format!("epoch {epoch} {body}"))
+        Ok(self.readers[i].read_at(|epoch, snap| {
+            let components = match query {
+                Query::Components => snap.state.components.len(),
+                _ => 0,
+            };
+            let mut out = String::with_capacity(REPLY_BYTES + 32 * components);
+            let _ = write!(out, "epoch {epoch} ");
+            answer_body(query, snap, &mut out);
+            out
+        }))
     }
 
     /// Apply every queued event on every shard (each shard claimed
@@ -232,22 +258,30 @@ impl Cluster {
     /// render. Returns the line to print, if any (event submissions are
     /// silent on success; every error becomes a printable
     /// `error: ...` line rather than a failure).
+    ///
+    /// An event line allocates nothing: its tokens are borrowed from
+    /// `line` and its ids parsed straight into the shard's queue. Errors
+    /// keep the precedence of the owned route ([`parse_request`], then
+    /// [`Cluster::submit`]): a bare tenant, then event syntax, then an
+    /// unknown tenant, then the batch cap, then an out-of-range id.
+    ///
+    /// [`parse_request`]: crate::parse_request
     pub fn handle_line(&self, line: &str) -> Option<String> {
-        let request = match parse_request(line) {
+        let request = match parse_line(line) {
             Ok(None) => return None,
             Ok(Some(r)) => r,
             Err(e) => return Some(format!("error: {e}")),
         };
         match request {
-            Request::Event { tenant, event } => match self.submit(&tenant, event) {
+            RequestRef::Event { tenant, event } => match self.submit_text(tenant, event) {
                 Ok(()) => None,
                 Err(e) => Some(format!("error: {e}")),
             },
-            Request::Query { tenant, query } => match self.query(&tenant, query) {
+            RequestRef::Query { tenant, query } => match self.query(tenant, query) {
                 Ok(text) => Some(text),
                 Err(e) => Some(format!("error: {e}")),
             },
-            Request::Tick => {
+            RequestRef::Tick => {
                 let (applied, skipped) = self.tick();
                 Some(format!("tick applied {applied} skipped {skipped}"))
             }

@@ -35,7 +35,7 @@ pub mod shard;
 pub mod snapshot;
 
 pub use cluster::Cluster;
-pub use proto::{answer, parse_request, Query, Request};
+pub use proto::{parse_request, Query, Request};
 pub use shard::{Shard, ShardSnapshot, MAX_BATCH};
 pub use snapshot::{slot_pair, SnapshotReader, SnapshotWriter};
 

@@ -100,32 +100,38 @@ fn run(opts: &Options) -> Result<(), String> {
         &format!("serving {}", cluster.tenants().join(" ")),
     )?;
 
+    // One line buffer for the whole input, so reading a line allocates
+    // only while the buffer grows to the longest line.
     let drive = |cluster: &Cluster,
                  out: &mut dyn std::io::Write,
-                 lines: &mut dyn Iterator<Item = std::io::Result<String>>|
+                 input: &mut dyn BufRead|
      -> Result<(), String> {
-        for line in lines {
-            let line = line.map_err(|e| format!("input error: {e}"))?;
-            if let Some(response) = cluster.handle_line(&line) {
+        let mut buf = String::new();
+        loop {
+            buf.clear();
+            match input.read_line(&mut buf) {
+                Ok(0) => return Ok(()),
+                Ok(_) => {}
+                Err(e) => return Err(format!("input error: {e}")),
+            }
+            // The line without its `\n` or `\r\n`, as `BufRead::lines`
+            // yields it.
+            let line = match buf.strip_suffix('\n') {
+                Some(line) => line.strip_suffix('\r').unwrap_or(line),
+                None => &buf,
+            };
+            if let Some(response) = cluster.handle_line(line) {
                 emit(out, &response)?;
             }
         }
-        Ok(())
     };
     match &opts.replay {
         Some(path) => {
             let file = std::fs::File::open(path)
                 .map_err(|e| format!("cannot open replay '{}': {e}", path.display()))?;
-            drive(
-                &cluster,
-                &mut out,
-                &mut std::io::BufReader::new(file).lines(),
-            )?;
+            drive(&cluster, &mut out, &mut std::io::BufReader::new(file))?;
         }
-        None => {
-            let stdin = std::io::stdin();
-            drive(&cluster, &mut out, &mut stdin.lock().lines())?;
-        }
+        None => drive(&cluster, &mut out, &mut std::io::stdin().lock())?,
     }
 
     let (applied, skipped) = cluster.run_to_quiescence();

@@ -20,6 +20,13 @@
 //!
 //! Every parse error is a complete sentence naming the offending token
 //! — the serving loop reports it to the client verbatim and carries on.
+//!
+//! The request path is allocation-free: `Cluster::handle_line` splits a
+//! line into tokens borrowed from it (`RequestRef`), looks the tenant
+//! up by `&str`, and parses an event's ids straight into the shard's
+//! queue (`EventRef::parse_into`). Only reply `String`s, error paths and
+//! buffer growth allocate. [`parse_request`] is the owned form of the
+//! same parse, for callers that keep a [`Request`].
 
 use crate::shard::ShardSnapshot;
 use selfheal_core::scenario::NetworkEvent;
@@ -82,8 +89,33 @@ impl fmt::Display for Request {
     }
 }
 
-/// Parse one line. `Ok(None)` for blank lines and `#` comments.
-pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
+/// One protocol line, borrowed from it: what `Cluster::handle_line`
+/// dispatches on. An event stays text until it is parsed into its
+/// tenant's queue.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RequestRef<'a> {
+    /// `<tenant> <event>`, the event not yet parsed.
+    Event {
+        /// Target tenant.
+        tenant: &'a str,
+        /// The event's wire form.
+        event: &'a str,
+    },
+    /// `query <tenant> <kind>`.
+    Query {
+        /// Target tenant.
+        tenant: &'a str,
+        /// What to read.
+        query: Query,
+    },
+    /// `tick`.
+    Tick,
+}
+
+/// Parse one line without allocating, except for an error message.
+/// `Ok(None)` for blank lines and `#` comments. An event's syntax is
+/// checked by whoever parses its text.
+pub(crate) fn parse_line(line: &str) -> Result<Option<RequestRef<'_>>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -94,7 +126,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
     match head {
         "tick" => {
             if rest.is_empty() {
-                Ok(Some(Request::Tick))
+                Ok(Some(RequestRef::Tick))
             } else {
                 Err(format!("'tick' takes no arguments, got '{rest}'"))
             }
@@ -105,12 +137,8 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
             if tenant.is_empty() {
                 return Err("'query' needs a tenant and a query kind".to_string());
             }
-            let q = words.next().unwrap_or("").trim();
-            let query = parse_query(q)?;
-            Ok(Some(Request::Query {
-                tenant: tenant.to_string(),
-                query,
-            }))
+            let query = parse_query(words.next().unwrap_or("").trim())?;
+            Ok(Some(RequestRef::Query { tenant, query }))
         }
         tenant => {
             if rest.is_empty() {
@@ -119,48 +147,57 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
                      bare '{tenant}'"
                 ));
             }
-            let event: NetworkEvent = rest.parse()?;
-            Ok(Some(Request::Event {
-                tenant: tenant.to_string(),
-                event,
+            Ok(Some(RequestRef::Event {
+                tenant,
+                event: rest,
             }))
         }
     }
 }
 
+/// Parse one line into an owned [`Request`]. `Ok(None)` for blank lines
+/// and `#` comments.
+pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
+    let request = match parse_line(line)? {
+        None => return Ok(None),
+        Some(RequestRef::Event { tenant, event }) => Request::Event {
+            tenant: tenant.to_string(),
+            event: event.parse()?,
+        },
+        Some(RequestRef::Query { tenant, query }) => Request::Query {
+            tenant: tenant.to_string(),
+            query,
+        },
+        Some(RequestRef::Tick) => Request::Tick,
+    };
+    Ok(Some(request))
+}
+
 fn parse_query(q: &str) -> Result<Query, String> {
     let mut words = q.split_whitespace();
     let kind = words.next().unwrap_or_default();
-    let args: Vec<&str> = words.collect();
-    match (kind, args.as_slice()) {
-        ("components", []) => Ok(Query::Components),
-        ("gprime-edges", []) => Ok(Query::GprimeEdges),
-        ("stats", []) => Ok(Query::Stats),
-        ("degree", [id]) => id
+    // The first argument, and whether there are more.
+    let (arg, more) = (words.next(), words.next().is_some());
+    match (kind, arg, more) {
+        ("components", None, _) => Ok(Query::Components),
+        ("gprime-edges", None, _) => Ok(Query::GprimeEdges),
+        ("stats", None, _) => Ok(Query::Stats),
+        ("degree", Some(id), false) => id
             .parse::<u32>()
             .map(|v| Query::Degree(NodeId(v)))
             .map_err(|_| format!("invalid node id '{id}'")),
-        ("degree", _) => Err("'degree' takes exactly one node id".to_string()),
-        ("", _) => Err("'query' needs a query kind".to_string()),
-        (other, _) => Err(format!(
+        ("degree", _, _) => Err("'degree' takes exactly one node id".to_string()),
+        ("", _, _) => Err("'query' needs a query kind".to_string()),
+        (other, _, _) => Err(format!(
             "unknown query '{other}' (expected components, degree, \
              gprime-edges, or stats)"
         )),
     }
 }
 
-/// Render a query's answer from a published snapshot, tagged with the
-/// epoch it was read at (so clients can tell how fresh the data is).
-#[must_use]
-pub fn answer(query: Query, epoch: usize, snap: &ShardSnapshot) -> String {
-    format!("epoch {epoch} {}", answer_body(query, snap))
-}
-
-/// The answer text without the epoch prefix — what a snapshot read
-/// closure renders; the read returns the epoch alongside it.
-#[must_use]
-pub fn answer_body(query: Query, snap: &ShardSnapshot) -> String {
-    let mut out = String::new();
+/// Append a query's answer to `out`: the reply without its epoch
+/// prefix, which [`Cluster::query`](crate::Cluster::query) writes first.
+pub(crate) fn answer_body(query: Query, snap: &ShardSnapshot, out: &mut String) {
     match query {
         Query::Components => {
             let _ = write!(out, "components {}:", snap.state.components.len());
@@ -204,5 +241,4 @@ pub fn answer_body(query: Query, snap: &ShardSnapshot) -> String {
             );
         }
     }
-    out
 }

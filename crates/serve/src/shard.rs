@@ -13,14 +13,15 @@
 //! [`ScenarioEngine::apply_with`]: selfheal_core::scenario::ScenarioEngine::apply_with
 
 use crate::snapshot::{slot_pair, SnapshotReader, SnapshotWriter};
-use selfheal_core::scenario::{NetworkEvent, NullObserver, Observer};
+use selfheal_core::scenario::{EventKind, EventRef, NetworkEvent, NullObserver, Observer};
 use selfheal_core::snapshot::StateSnapshot;
 use selfheal_core::spec::{AuditSpec, BackendSpec, DynScenarioEngine, ScenarioSpec};
+use selfheal_core::state::HealingNetwork;
 use selfheal_core::TheoremAuditor;
 use selfheal_graph::NodeId;
 use selfheal_metrics::TenantStats;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Hard cap on victims per `delete-batch` and targets per `join` — a
 /// hostile stream cannot make one event arbitrarily expensive.
@@ -41,6 +42,71 @@ pub struct ShardSnapshot {
     pub pending: usize,
 }
 
+/// The events queued for the next tick, their payloads back to back:
+/// one `(kind, span)` entry per event, with its ids at `ids[span]` (a
+/// `delete`'s victim included). Queueing allocates only while the two
+/// buffers grow to their working size, since a tick clears them in
+/// place.
+#[derive(Default)]
+struct Queue {
+    ids: Vec<NodeId>,
+    events: Vec<(EventKind, Range<usize>)>,
+}
+
+impl Queue {
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The `i`-th queued event.
+    fn get(&self, i: usize) -> EventRef<'_> {
+        let (kind, span) = &self.events[i];
+        let ids = &self.ids[span.clone()];
+        match kind {
+            EventKind::Delete => EventRef::Delete(ids[0]),
+            EventKind::DeleteBatch => EventRef::DeleteBatch(ids),
+            EventKind::Join => EventRef::Join(ids),
+        }
+    }
+
+    /// Queue `event`, copying its payload.
+    fn push(&mut self, event: EventRef<'_>) {
+        let start = self.ids.len();
+        match event {
+            EventRef::Delete(v) => self.ids.push(v),
+            EventRef::DeleteBatch(ids) | EventRef::Join(ids) => self.ids.extend_from_slice(ids),
+        }
+        self.events.push((event.kind(), start..self.ids.len()));
+    }
+
+    /// Parse an event's wire form straight onto the end of `ids` and
+    /// queue it if `check` accepts it. A rejected event leaves the
+    /// queue as it was.
+    fn push_text(
+        &mut self,
+        text: &str,
+        check: impl FnOnce(EventRef<'_>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let start = self.ids.len();
+        let event = EventRef::parse_into(text, &mut self.ids)?;
+        if let Err(e) = check(event) {
+            self.ids.truncate(start);
+            return Err(e);
+        }
+        let kind = event.kind();
+        if let EventRef::Delete(v) = event {
+            self.ids.push(v);
+        }
+        self.events.push((kind, start..self.ids.len()));
+        Ok(())
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.events.clear();
+    }
+}
+
 /// One tenant's engine plus serving state. Created from a `.scn` spec
 /// via [`Shard::from_spec`]; driven by [`Shard::submit`] +
 /// [`Shard::tick`]; torn down by [`Shard::finish`].
@@ -53,7 +119,7 @@ pub struct Shard {
     /// `ScenarioSpec::run_with`.
     auditor: Option<TheoremAuditor>,
     stats: TenantStats,
-    queue: VecDeque<NetworkEvent>,
+    queue: Queue,
     writer: SnapshotWriter<ShardSnapshot>,
     reader: SnapshotReader<ShardSnapshot>,
     /// The engine's touched-slot logs drained at the last two publishes
@@ -105,7 +171,7 @@ impl Shard {
             engine,
             auditor,
             stats: TenantStats::default(),
-            queue: VecDeque::new(),
+            queue: Queue::default(),
             writer,
             reader,
             logs,
@@ -130,69 +196,24 @@ impl Shard {
     /// references (dead victims) are accepted and later counted as
     /// skips, mirroring the engine's own sanitization contract.
     pub fn submit(&mut self, event: NetworkEvent) -> Result<(), String> {
-        self.validate(&event)?;
-        self.queue.push_back(event);
+        let event = event.as_event_ref();
+        validate(&self.tenant, &self.engine.net, event)?;
+        self.queue.push(event);
         Ok(())
+    }
+
+    /// [`Shard::submit`] on an event's wire form, parsed straight into
+    /// the queue: a syntax error comes first, then the checks `submit`
+    /// makes. Allocates nothing once the queue has its working size.
+    pub(crate) fn submit_text(&mut self, text: &str) -> Result<(), String> {
+        let (tenant, net) = (&self.tenant, &self.engine.net);
+        self.queue
+            .push_text(text, |event| validate(tenant, net, event))
     }
 
     /// Events queued and not yet applied.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    fn validate(&self, event: &NetworkEvent) -> Result<(), String> {
-        let (ids, what): (&[NodeId], _) = match event {
-            NetworkEvent::Delete(v) => (std::slice::from_ref(v), "victim"),
-            NetworkEvent::DeleteBatch(vs) => {
-                if vs.len() > MAX_BATCH {
-                    return Err(format!(
-                        "tenant '{}': batch of {} victims exceeds the \
-                         {MAX_BATCH}-victim cap",
-                        self.tenant,
-                        vs.len()
-                    ));
-                }
-                (vs, "victim")
-            }
-            NetworkEvent::Join { neighbors } => {
-                if neighbors.len() > MAX_BATCH {
-                    return Err(format!(
-                        "tenant '{}': join with {} targets exceeds the \
-                         {MAX_BATCH}-target cap",
-                        self.tenant,
-                        neighbors.len()
-                    ));
-                }
-                (neighbors, "join target")
-            }
-        };
-        let bound = self.engine.net.graph().node_bound();
-        for v in ids {
-            if v.index() >= bound {
-                return Err(format!(
-                    "tenant '{}': {what} id {} out of range (network has \
-                     {bound} node slots)",
-                    self.tenant, v.0
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Would the engine make progress on this event? Mirrors the
-    /// engine's sanitization: a dead single victim, an all-dead batch,
-    /// or a join whose non-empty target list is all dead are no-ops
-    /// (an explicitly empty join creates an isolated node and *does*
-    /// progress).
-    fn would_progress(&self, event: &NetworkEvent) -> bool {
-        let net = &self.engine.net;
-        match event {
-            NetworkEvent::Delete(v) => net.is_alive(*v),
-            NetworkEvent::DeleteBatch(vs) => vs.iter().any(|&v| net.is_alive(v)),
-            NetworkEvent::Join { neighbors } => {
-                neighbors.is_empty() || neighbors.iter().any(|&v| net.is_alive(v))
-            }
-        }
     }
 
     /// Drain the pending queue through the engine, then publish a fresh
@@ -202,8 +223,9 @@ impl Shard {
     pub fn tick(&mut self) -> (u64, u64) {
         let (mut applied, mut skipped) = (0u64, 0u64);
         let mut null = NullObserver;
-        while let Some(event) = self.queue.pop_front() {
-            if !self.would_progress(&event) {
+        for i in 0..self.queue.len() {
+            let event = self.queue.get(i);
+            if !would_progress(&self.engine.net, event) {
                 self.stats.observe_skipped();
                 skipped += 1;
                 continue;
@@ -216,6 +238,7 @@ impl Shard {
             self.stats.observe(record.tenant_sample());
             applied += 1;
         }
+        self.queue.clear();
         self.publish();
         (applied, skipped)
     }
@@ -306,5 +329,60 @@ impl Shard {
             let _ = writeln!(out, "  VIOLATION: {v}");
         }
         out
+    }
+}
+
+/// Reject an event the engine must never see: a batch or join past
+/// [`MAX_BATCH`], or an id beyond the network's node slots.
+fn validate(tenant: &str, net: &HealingNetwork, event: EventRef<'_>) -> Result<(), String> {
+    let victim;
+    let (ids, what): (&[NodeId], _) = match event {
+        EventRef::Delete(v) => {
+            victim = [v];
+            (&victim, "victim")
+        }
+        EventRef::DeleteBatch(vs) => {
+            if vs.len() > MAX_BATCH {
+                return Err(format!(
+                    "tenant '{tenant}': batch of {} victims exceeds the \
+                     {MAX_BATCH}-victim cap",
+                    vs.len()
+                ));
+            }
+            (vs, "victim")
+        }
+        EventRef::Join(ts) => {
+            if ts.len() > MAX_BATCH {
+                return Err(format!(
+                    "tenant '{tenant}': join with {} targets exceeds the \
+                     {MAX_BATCH}-target cap",
+                    ts.len()
+                ));
+            }
+            (ts, "join target")
+        }
+    };
+    let bound = net.graph().node_bound();
+    for v in ids {
+        if v.index() >= bound {
+            return Err(format!(
+                "tenant '{tenant}': {what} id {} out of range (network has \
+                 {bound} node slots)",
+                v.0
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Would the engine make progress on this event? Mirrors the engine's
+/// sanitization: a dead single victim, an all-dead batch, or a join
+/// whose non-empty target list is all dead are no-ops (an explicitly
+/// empty join creates an isolated node and *does* progress).
+fn would_progress(net: &HealingNetwork, event: EventRef<'_>) -> bool {
+    match event {
+        EventRef::Delete(v) => net.is_alive(v),
+        EventRef::DeleteBatch(vs) => vs.iter().any(|&v| net.is_alive(v)),
+        EventRef::Join(ts) => ts.is_empty() || ts.iter().any(|&v| net.is_alive(v)),
     }
 }

@@ -91,11 +91,16 @@ impl<T> SnapshotReader<T> {
     /// to clone the `Arc`, never while `f` runs, so a read never waits
     /// on a heal and never holds up a publish.
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> (usize, R) {
+        self.read_at(|epoch, snap| (epoch, f(snap)))
+    }
+
+    /// [`read`](SnapshotReader::read), handing the epoch to `f` too.
+    pub(crate) fn read_at<R>(&self, f: impl FnOnce(usize, &T) -> R) -> R {
         let (epoch, snap) = {
             let published = lock(&self.slot);
             (published.0, Arc::clone(&published.1))
         };
-        (epoch, f(&snap))
+        f(epoch, &snap)
     }
 
     /// Clone out the published snapshot (convenience over

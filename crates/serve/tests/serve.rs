@@ -1,6 +1,7 @@
 //! Serving-layer integration tests: exact wire-form round-trips for the
-//! line protocol (mirroring `tests/spec.rs`'s 256-case style), hostile
-//! input handling with readable errors and no panics, and the
+//! line protocol (mirroring `tests/spec.rs`'s 256-case style), the
+//! borrowed `handle_line` route answering exactly as the owned one,
+//! hostile input handling with readable errors and no panics, and the
 //! determinism contract — byte-identical final reports for any worker
 //! count, under concurrent snapshot readers.
 
@@ -69,6 +70,101 @@ proptest! {
         let event = event_variant(ev, &ids);
         let line = event.to_string();
         prop_assert_eq!(line.parse::<NetworkEvent>().unwrap(), event);
+    }
+}
+
+/// Tokens to put where an id or an event keyword is due: all but
+/// `delete` are invalid there.
+const JUNK: [&str; 6] = ["x", "-1", "4294967296", "1.5", "delete", "#"];
+
+/// One protocol line in the shape `kind` selects, for tenant `tenant`
+/// (`nobody` is not served). Ids run past both tenants' slot counts.
+fn generated_line(kind: usize, tenant: usize, ids: &[u32], junk: usize) -> String {
+    let tenant = ["churn", "epidemic", "nobody"][tenant];
+    let list = |ids: &[u32]| ids.iter().map(|v| format!(" {v}")).collect::<String>();
+    let first = ids.first().copied().unwrap_or(0);
+    let junk = JUNK[junk];
+    match kind {
+        0 | 1 => format!("{tenant} delete {first}"),
+        2 => format!("{tenant} delete-batch{}", list(ids)),
+        3 => format!("{tenant} join{}", list(ids)),
+        // Past the cap, with a bad token at the end half the time.
+        4 => {
+            let tail = if first % 2 == 0 { junk } else { "" };
+            format!("{tenant} delete-batch{} {tail}", " 1".repeat(1025))
+        }
+        5 => format!("{tenant} join{} {junk}", list(ids)),
+        6 => format!("{tenant} delete{}", list(ids)),
+        7 => format!("{tenant} {junk}{}", list(ids)),
+        8 => tenant.to_string(),
+        9 => format!(
+            "query {tenant} {}",
+            ["stats", "components", "gprime-edges", "degree", "nonsense"][first as usize % 5]
+        ),
+        10 => format!("query {tenant} degree {first}"),
+        11 => ["tick", "tick now", "", "# note"][first as usize % 4].to_string(),
+        _ => "tick".to_string(),
+    }
+}
+
+/// What the owned route answers: [`parse_request`], then
+/// `Cluster::submit`, `query` or `tick`, each error printed as
+/// `handle_line` prints it.
+fn owned_route(cluster: &Cluster, line: &str) -> Option<String> {
+    let request = match parse_request(line) {
+        Ok(None) => return None,
+        Ok(Some(request)) => request,
+        Err(e) => return Some(format!("error: {e}")),
+    };
+    match request {
+        Request::Event { tenant, event } => cluster
+            .submit(&tenant, event)
+            .err()
+            .map(|e| format!("error: {e}")),
+        Request::Query { tenant, query } => Some(
+            cluster
+                .query(&tenant, query)
+                .unwrap_or_else(|e| format!("error: {e}")),
+        ),
+        Request::Tick => {
+            let (applied, skipped) = cluster.tick();
+            Some(format!("tick applied {applied} skipped {skipped}"))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `handle_line` parses event lines straight into the shard queues;
+    /// the owned route parses into a `Request` and submits it. Over valid
+    /// events, unknown tenants, oversized batches, out-of-range ids and
+    /// junk tokens, both answer every line alike and end in the same
+    /// state.
+    #[test]
+    fn handle_line_answers_exactly_as_the_owned_route(
+        lines in proptest::collection::vec(
+            (
+                0usize..13,
+                0usize..3,
+                proptest::collection::vec(0u32..80, 0..5),
+                0usize..JUNK.len(),
+            ),
+            1..48,
+        ),
+    ) {
+        let borrowed = two_tenant_cluster(2);
+        let owned = two_tenant_cluster(1);
+        for (kind, tenant, ids, junk) in &lines {
+            let line = generated_line(*kind, *tenant, ids, *junk);
+            prop_assert_eq!(
+                borrowed.handle_line(&line),
+                owned_route(&owned, &line),
+                "line '{}'",
+                line
+            );
+        }
+        prop_assert_eq!(borrowed.finish(), owned.finish());
     }
 }
 

@@ -1,17 +1,19 @@
 //! Hostile-input properties for the three text front doors: the event
 //! wire form (`NetworkEvent::from_str`), the scenario spec format
 //! (`ScenarioSpec::parse` + `validate`) and the serve line protocol
-//! (`serve::proto::parse_request`).
+//! (`serve::proto::parse_request`, and `Cluster::handle_line`, which
+//! parses event lines straight into a shard's queue).
 //!
 //! Each parser is fed arbitrary bytes (decoded lossily, as a line reader
 //! would), numeric literals past `u32`, `u64` and `usize`, and long runs
 //! of one repeated token. Every input must come back as a value or as an
-//! error with a non-empty message; no input may panic.
+//! error with a non-empty message, and every `handle_line` answer must
+//! be absent or non-empty; no input may panic.
 
 use proptest::prelude::*;
 use selfheal::core::scenario::NetworkEvent;
 use selfheal::core::spec::ScenarioSpec;
-use selfheal::serve::parse_request;
+use selfheal::serve::{parse_request, Cluster};
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -64,15 +66,30 @@ fn check<T, E: Display>(what: &str, input: &str, parse: impl FnOnce(&str) -> Res
     }
 }
 
+/// A one-worker cluster serving the checked-in churn spec as tenant
+/// `tenant`, the name the numeric inputs address.
+fn served() -> Cluster {
+    let spec = ScenarioSpec::parse(include_str!("../specs/random_churn.scn"))
+        .expect("checked-in spec parses");
+    let mut cluster = Cluster::new(1);
+    cluster.add_spec("tenant", &spec).expect("servable spec");
+    cluster
+}
+
 /// Feeds `input` to all three parsers, and each of its lines to the
-/// two line-oriented ones.
+/// line-oriented ones, `handle_line` on a served cluster included.
 fn check_all(input: &str) {
     check("ScenarioSpec", input, |s| {
         ScenarioSpec::parse(s).and_then(|spec| spec.validate())
     });
+    let cluster = served();
     for line in std::iter::once(input).chain(input.lines()) {
         check("NetworkEvent", line, |s| s.parse::<NetworkEvent>());
         check("parse_request", line, parse_request);
+        // Any answer, reply or error, goes through the non-empty check.
+        check("handle_line", line, |s| {
+            cluster.handle_line(s).map_or(Ok(()), Err)
+        });
     }
 }
 

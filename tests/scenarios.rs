@@ -150,7 +150,7 @@ fn check_adversary_source<H: Healer, S: EventSource>(
         let Some(event) = source.next_event(&engine.net) else {
             break;
         };
-        engine.apply_with(event, &mut auditor);
+        engine.apply_with(event.as_event_ref(), &mut auditor);
     }
     let report = engine.finish();
     auditor.finish(&engine.net, &report);

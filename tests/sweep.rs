@@ -234,7 +234,7 @@ fn fleet_reports_violations_with_seeds() {
     );
     let mut adversary = MaxNode;
     while let Some(v) = Adversary::pick(&mut adversary, &engine.net) {
-        engine.apply_with(NetworkEvent::Delete(v), &mut auditor);
+        engine.apply_with(EventRef::Delete(v), &mut auditor);
     }
     assert!(!auditor.ok());
     assert!(auditor.violations[0].contains("theorem 1.1"));
