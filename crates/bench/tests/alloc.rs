@@ -19,6 +19,10 @@
 //!   borrowed payload);
 //! - `Join`: `steady_state_churn_allocates_only_for_new_node_slots`,
 //!   where a join may allocate only to grow the per-node arrays.
+//!
+//! The graph's side indexes are built by their first query, inside
+//! whichever run asks first; `first_index_queries_allocate_a_constant_count`
+//! holds that build to a fixed allocation count, whatever the graph's size.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,6 +33,7 @@ use selfheal_core::dash::Dash;
 use selfheal_core::scenario::{EventKind, NetworkEvent, RandomChurn, ScenarioEngine};
 use selfheal_core::state::HealingNetwork;
 use selfheal_graph::generators::barabasi_albert;
+use selfheal_graph::Graph;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -157,7 +162,7 @@ fn steady_state_churn_allocates_only_for_new_node_slots() {
 
     // Warm-up as in the delete-only test, then 4096 mixed events, about a
     // third of them joins. A join adds a node slot to every per-node
-    // array (adjacency, degree index, live index, ids, counters); those
+    // array (adjacency, G's degree and live indexes, ids, counters); those
     // grow by doubling, so across the block they may allocate a few dozen
     // times in all. Anything per join — the join's target list, say —
     // would cost over a thousand.
@@ -178,4 +183,28 @@ fn steady_state_churn_allocates_only_for_new_node_slots() {
         allocs < 64,
         "{allocs} allocation(s) during 4096 steady-state churn events ({joins} joins)"
     );
+}
+
+#[test]
+fn first_index_queries_allocate_a_constant_count() {
+    let allocations_during = |g: &Graph, query: fn(&Graph) -> Option<_>| {
+        let before = thread_allocations();
+        assert!(query(g).is_some());
+        thread_allocations() - before
+    };
+    let counts = |n: usize| {
+        let g = barabasi_albert(n, 3, &mut StdRng::seed_from_u64(20080124));
+        let counts = [
+            allocations_during(&g, Graph::max_degree_node),
+            allocations_during(&g, |g| g.nth_live(g.live_node_count() / 2)),
+        ];
+        // Built once: later queries answer from the index.
+        assert_eq!(allocations_during(&g, Graph::min_degree_node), 0);
+        assert_eq!(allocations_during(&g, |g| g.nth_live(0)), 0);
+        counts
+    };
+    // The degree index: bucket sizes, one arena, bucket handles and
+    // positions. The live index: one Fenwick tree.
+    assert_eq!(counts(4096), [4, 1], "index builds at n = 4096");
+    assert_eq!(counts(65536), [4, 1], "index builds at n = 65536");
 }

@@ -206,14 +206,8 @@ impl HealingNetwork {
         let initial_degree = (0..n)
             .map(|i| graph.degree(NodeId::from_index(i)) as u32)
             .collect();
-        // G′ ⊆ G bounds every G′ degree by a G degree, and healing lifts
-        // G degrees by at most 2 log₂ n (Theorem 1): size the G′ degree
-        // index for the largest initial G degree once, here, rather than
-        // growing it as healing edges pile up.
-        let mut gp = Graph::new(n);
-        gp.reserve_degree(graph.max_degree_node().map_or(0, |v| graph.degree(v)));
         HealingNetwork {
-            gp,
+            gp: Graph::new(n),
             g: graph,
             initial_degree,
             comp_id: ids.clone(),

@@ -18,6 +18,8 @@ pub enum GraphError {
     EdgeMissing(NodeId, NodeId),
     /// An operation that requires a non-empty graph was called on an empty one.
     EmptyGraph,
+    /// [`crate::Graph::validate`] found the named internal invariant broken.
+    Corrupt(&'static str),
 }
 
 impl fmt::Display for GraphError {
@@ -29,6 +31,7 @@ impl fmt::Display for GraphError {
             GraphError::EdgeExists(u, v) => write!(f, "edge ({u}, {v}) already exists"),
             GraphError::EdgeMissing(u, v) => write!(f, "edge ({u}, {v}) does not exist"),
             GraphError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
+            GraphError::Corrupt(what) => write!(f, "graph invariant broken: {what}"),
         }
     }
 }
@@ -56,5 +59,8 @@ mod tests {
             .to_string()
             .contains("(4, 5)"));
         assert!(!GraphError::EmptyGraph.to_string().is_empty());
+        assert!(GraphError::Corrupt("edge count")
+            .to_string()
+            .contains("edge count"));
     }
 }

@@ -13,17 +13,23 @@
 //! Storage is the pooled arena of [`crate::pool`]: every neighbor list is
 //! a contiguous chunk of one shared `Vec<NodeId>`, so `neighbors()` is
 //! still a real `&[NodeId]` slice but million-node runs stop paying one
-//! heap allocation (and one cache-missing pointer chase) per node. Two
-//! always-maintained indexes keep the per-event query surface sublinear:
-//! a **degree-bucket index** answers [`Graph::max_degree_node`] /
+//! heap allocation (and one cache-missing pointer chase) per node.
+//!
+//! Two side indexes keep an adversary's per-event queries sublinear: a
+//! **degree-bucket index** answers [`Graph::max_degree_node`] /
 //! [`Graph::min_degree_node`] from the extreme bucket instead of an O(n)
 //! scan, and a **Fenwick live-order index** answers [`Graph::nth_live`]
 //! (the k-th smallest live id) in O(log n) so adversaries can sample
-//! uniform live nodes without materializing the live list.
+//! uniform live nodes without materializing the live list. Each is built
+//! in O(n) by its first query and maintained by every mutation after
+//! that, so a graph nobody asks (a healing graph G′, a serving shard)
+//! never pays for either. An index answers only from the graph it
+//! shadows, so when it was built cannot change an answer.
 
 use crate::errors::{GraphError, Result};
 use crate::ids::{Edge, NodeId};
 use crate::pool::{AdjPool, ChunkRef};
+use std::sync::OnceLock;
 // Under `--cfg loom` the hint atomics become the model checker's mocks,
 // so every load/store/fetch_max below is an explored schedule point
 // (`make loom-check`; see vendor/loom and crates/graph/tests/loom.rs).
@@ -52,7 +58,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// (`Graph::max_degree_node` is called through shared references): a hint
 /// repair is a pure narrowing of the search window, so racing relaxed
 /// stores can only lose a repair, never break the bounds.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DegreeIndex {
     pool: AdjPool,
     buckets: Vec<ChunkRef>,
@@ -79,17 +85,32 @@ impl Clone for DegreeIndex {
 }
 
 impl DegreeIndex {
-    /// Index for `n` fresh live nodes, all of degree 0.
-    fn new_isolated(n: usize) -> Self {
-        let mut index = DegreeIndex {
-            buckets: vec![ChunkRef::default()],
-            pos: (0..n as u32).collect(),
-            ..DegreeIndex::default()
-        };
-        index
-            .pool
-            .extend(&mut index.buckets[0], (0..n).map(NodeId::from_index));
-        index
+    /// Index the live nodes of `adj` by a counting sort: size every bucket
+    /// first, reserve one exactly-sized chunk each, then fill them in id
+    /// order. The allocation count is constant, whatever the graph's size.
+    fn build(adj: &[ChunkRef], alive: &[bool]) -> Self {
+        let live = || (0..adj.len()).filter(|&i| alive[i]);
+        let hi = live().map(|i| adj[i].len()).max().unwrap_or(0);
+        let mut lens = vec![0u32; hi + 1];
+        for i in live() {
+            lens[adj[i].len()] += 1;
+        }
+        let mut pool = AdjPool::default();
+        let mut buckets = pool.reserve(&lens);
+        let mut pos = vec![0u32; adj.len()];
+        for i in live() {
+            let bucket = &mut buckets[adj[i].len()];
+            pos[i] = bucket.len() as u32;
+            pool.push(bucket, NodeId::from_index(i));
+        }
+        DegreeIndex {
+            pool,
+            buckets,
+            pos,
+            max_hint: AtomicUsize::new(hi),
+            // The first min query walks up from 0, once.
+            min_hint: AtomicUsize::new(0),
+        }
     }
 
     /// Index a freshly added node `v` (the next id) at degree 0.
@@ -176,11 +197,38 @@ impl DegreeIndex {
             // live node, so the upward walk must hit a non-empty bucket.
             .expect("hint repaired to a non-empty bucket")
     }
+
+    /// Every live node of `g` in its degree's bucket at its recorded
+    /// position, no stale entries, and the hints still bounding.
+    fn validate(&self, g: &Graph) -> Result<()> {
+        // relaxed-ok: validation reads on a quiescent graph (`&self`,
+        // no concurrent mutators by borrow rules); a conservative
+        // hint value is exactly what the bound check wants.
+        let max_hint = self.max_hint.load(Ordering::Relaxed);
+        // relaxed-ok: as above.
+        let min_hint = self.min_hint.load(Ordering::Relaxed);
+        let mut indexed = 0usize;
+        for d in 0..self.buckets.len() {
+            for (p, &v) in self.bucket(d).iter().enumerate() {
+                if !g.is_alive(v) || g.degree(v) != d || self.pos[v.index()] as usize != p {
+                    return Err(GraphError::Corrupt("degree index entry"));
+                }
+                indexed += 1;
+            }
+            if !self.is_empty(d) && (d > max_hint || d < min_hint) {
+                return Err(GraphError::Corrupt("degree index hint"));
+            }
+        }
+        if indexed != g.live_count {
+            return Err(GraphError::Corrupt("degree index size"));
+        }
+        Ok(())
+    }
 }
 
 /// Fenwick (binary-indexed) tree over the alive bits, for O(log n)
 /// rank/select on live nodes. Grows by doubling with an O(n) rebuild.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct LiveIndex {
     /// 1-indexed partial sums; `tree.len() == cap + 1`.
     tree: Vec<u32>,
@@ -188,23 +236,19 @@ struct LiveIndex {
 }
 
 impl LiveIndex {
-    /// Linear-time build over the first `n` alive bits with capacity `cap`.
-    fn rebuild(&mut self, cap: usize, alive: &[bool]) {
-        self.cap = cap;
-        self.tree.clear();
-        self.tree.resize(cap + 1, 0);
+    /// Linear-time build over the alive bits with capacity `cap`.
+    fn new(cap: usize, alive: &[bool]) -> Self {
+        let mut tree = vec![0u32; cap + 1];
         for (i, &a) in alive.iter().enumerate() {
-            if a {
-                self.tree[i + 1] += 1;
-            }
+            tree[i + 1] = u32::from(a);
         }
         for i in 1..=cap {
             let j = i + (i & i.wrapping_neg());
             if j <= cap {
-                let t = self.tree[i];
-                self.tree[j] += t;
+                tree[j] += tree[i];
             }
         }
+        LiveIndex { tree, cap }
     }
 
     fn add(&mut self, i: usize, delta: i32) {
@@ -265,26 +309,22 @@ pub struct Graph {
     live_count: usize,
     /// Number of live edges.
     edge_count: usize,
-    /// Degree buckets for O(extreme-bucket) max/min-degree queries.
-    degrees: DegreeIndex,
-    /// Fenwick index for O(log n) k-th-live-node selection.
-    live_index: LiveIndex,
+    /// Degree buckets for O(extreme-bucket) max/min-degree queries,
+    /// built by the first such query.
+    degrees: OnceLock<DegreeIndex>,
+    /// Fenwick index for O(log n) k-th-live-node selection, built by the
+    /// first such query.
+    live_index: OnceLock<LiveIndex>,
 }
 
 impl Graph {
     /// Create a graph with `n` live, isolated nodes (ids `0..n`).
     pub fn new(n: usize) -> Self {
-        let alive = vec![true; n];
-        let mut live_index = LiveIndex::default();
-        live_index.rebuild(n, &alive);
         Graph {
-            pool: AdjPool::default(),
             adj: vec![ChunkRef::default(); n],
-            alive,
+            alive: vec![true; n],
             live_count: n,
-            edge_count: 0,
-            degrees: DegreeIndex::new_isolated(n),
-            live_index,
+            ..Graph::default()
         }
     }
 
@@ -339,25 +379,22 @@ impl Graph {
         }
     }
 
-    /// Size the degree index for degrees up to `max_degree`, so that
-    /// raising a node to any such degree never allocates.
-    pub fn reserve_degree(&mut self, max_degree: usize) {
-        let buckets = &mut self.degrees.buckets;
-        buckets.reserve((max_degree + 1).saturating_sub(buckets.len()));
-    }
-
     /// Allocate a fresh live node and return its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::from_index(self.adj.len());
         self.adj.push(ChunkRef::default());
         self.alive.push(true);
         self.live_count += 1;
-        self.degrees.push_node(id);
-        if self.alive.len() > self.live_index.cap {
-            let cap = (self.live_index.cap * 2).max(self.alive.len()).max(16);
-            self.live_index.rebuild(cap, &self.alive);
-        } else {
-            self.live_index.add(id.index(), 1);
+        if let Some(degrees) = self.degrees.get_mut() {
+            degrees.push_node(id);
+        }
+        if let Some(index) = self.live_index.get_mut() {
+            if self.alive.len() > index.cap {
+                let cap = (index.cap * 2).max(self.alive.len()).max(16);
+                *index = LiveIndex::new(cap, &self.alive);
+            } else {
+                index.add(id.index(), 1);
+            }
         }
         id
     }
@@ -422,8 +459,10 @@ impl Graph {
         let mut r = self.adj[v.index()];
         self.pool.insert_at(&mut r, pos_v, u);
         self.adj[v.index()] = r;
-        self.degrees.change(u, du, du + 1);
-        self.degrees.change(v, dv, dv + 1);
+        if let Some(degrees) = self.degrees.get_mut() {
+            degrees.change(u, du, du + 1);
+            degrees.change(v, dv, dv + 1);
+        }
         self.edge_count += 1;
         Ok(())
     }
@@ -463,8 +502,10 @@ impl Graph {
         let mut r = self.adj[v.index()];
         self.pool.remove_at(&mut r, pos_v);
         self.adj[v.index()] = r;
-        self.degrees.change(u, du, du - 1);
-        self.degrees.change(v, dv, dv - 1);
+        if let Some(degrees) = self.degrees.get_mut() {
+            degrees.change(u, du, du - 1);
+            degrees.change(v, dv, dv - 1);
+        }
         self.edge_count -= 1;
         Ok(())
     }
@@ -494,7 +535,10 @@ impl Graph {
         let mut r = self.adj[v.index()];
         self.pool.clear(&mut r);
         self.adj[v.index()] = r;
-        self.degrees.remove(v, neighbors.len());
+        let mut degrees = self.degrees.get_mut();
+        if let Some(degrees) = degrees.as_deref_mut() {
+            degrees.remove(v, neighbors.len());
+        }
         for &u in neighbors.iter() {
             let pos = self
                 .pool
@@ -508,12 +552,16 @@ impl Graph {
             let mut r = self.adj[u.index()];
             self.pool.remove_at(&mut r, pos);
             self.adj[u.index()] = r;
-            self.degrees.change(u, du, du - 1);
+            if let Some(degrees) = degrees.as_deref_mut() {
+                degrees.change(u, du, du - 1);
+            }
         }
         self.edge_count -= neighbors.len();
         self.alive[v.index()] = false;
         self.live_count -= 1;
-        self.live_index.add(v.index(), -1);
+        if let Some(live_index) = self.live_index.get_mut() {
+            live_index.add(v.index(), -1);
+        }
         Ok(())
     }
 
@@ -538,7 +586,8 @@ impl Graph {
         );
     }
 
-    /// The k-th (0-indexed) live node in increasing id order, in O(log n).
+    /// The k-th (0-indexed) live node in increasing id order, in O(log n)
+    /// (the first call builds the live index in O(n)).
     ///
     /// Agrees exactly with `live_nodes().nth(k)`: sampling
     /// `nth_live(rng.gen_range(live_node_count()))` draws the same node a
@@ -547,7 +596,10 @@ impl Graph {
         if k >= self.live_count {
             return None;
         }
-        Some(NodeId::from_index(self.live_index.select(k)))
+        let index = self
+            .live_index
+            .get_or_init(|| LiveIndex::new(self.alive.len(), &self.alive));
+        Some(NodeId::from_index(index.select(k)))
     }
 
     /// Iterator over all live edges, each reported once with `lo < hi`.
@@ -591,12 +643,13 @@ impl Graph {
     ///
     /// Returns `None` when the graph has no live nodes. Answered from the
     /// degree-bucket index: amortized O(1) hint repair plus a scan of the
-    /// single extreme bucket (instead of the former O(n) full scan).
+    /// single extreme bucket (instead of an O(n) full scan). The first
+    /// degree query builds the index in O(n).
     pub fn max_degree_node(&self) -> Option<NodeId> {
         if self.live_count == 0 {
             return None;
         }
-        Some(self.degrees.max_node())
+        Some(self.degree_index().max_node())
     }
 
     /// The live node with the minimum degree (ties broken by lowest id).
@@ -604,7 +657,13 @@ impl Graph {
         if self.live_count == 0 {
             return None;
         }
-        Some(self.degrees.min_node())
+        Some(self.degree_index().min_node())
+    }
+
+    /// The degree index, built on first use.
+    fn degree_index(&self) -> &DegreeIndex {
+        self.degrees
+            .get_or_init(|| DegreeIndex::build(&self.adj, &self.alive))
     }
 
     /// Sum of degrees over all live nodes (= `2 * edge_count`).
@@ -613,8 +672,8 @@ impl Graph {
     }
 
     /// Internal consistency check used by tests and `debug_assert!`s:
-    /// adjacency symmetric & sorted, dead nodes isolated, counters and
-    /// both indexes correct.
+    /// adjacency symmetric & sorted, dead nodes isolated, counters correct,
+    /// and each side index that has been built correct.
     pub fn validate(&self) -> Result<()> {
         let mut edges = 0usize;
         let mut live = 0usize;
@@ -653,40 +712,21 @@ impl Graph {
             }
         }
         debug_assert_eq!(edges % 2, 0);
-        if edges / 2 != self.edge_count || live != self.live_count {
-            return Err(GraphError::EmptyGraph); // counter drift
+        if edges / 2 != self.edge_count {
+            return Err(GraphError::Corrupt("edge count"));
         }
-        // Degree-bucket index: every live node in its degree's bucket at
-        // its recorded position, no stale entries, hints still bounding.
-        let mut indexed = 0usize;
-        for d in 0..self.degrees.buckets.len() {
-            let bucket = self.degrees.bucket(d);
-            for (p, &v) in bucket.iter().enumerate() {
-                if !self.is_alive(v)
-                    || self.degree(v) != d
-                    || self.degrees.pos[v.index()] as usize != p
-                {
-                    return Err(GraphError::EmptyGraph); // index drift
+        if live != self.live_count {
+            return Err(GraphError::Corrupt("live count"));
+        }
+        if let Some(degrees) = self.degrees.get() {
+            degrees.validate(self)?;
+        }
+        if let Some(live_index) = self.live_index.get() {
+            // Fenwick rank/select must agree with the alive bits.
+            for (k, v) in self.live_nodes().enumerate() {
+                if live_index.select(k) != v.index() {
+                    return Err(GraphError::Corrupt("live index select"));
                 }
-                indexed += 1;
-            }
-            // relaxed-ok: validation reads on a quiescent graph (`&self`,
-            // no concurrent mutators by borrow rules); a conservative
-            // hint value is exactly what the bound check wants.
-            let max_hint = self.degrees.max_hint.load(Ordering::Relaxed);
-            // relaxed-ok: as above.
-            let min_hint = self.degrees.min_hint.load(Ordering::Relaxed);
-            if !self.degrees.is_empty(d) && (d > max_hint || d < min_hint) {
-                return Err(GraphError::EmptyGraph); // hint no longer bounds
-            }
-        }
-        if indexed != self.live_count {
-            return Err(GraphError::EmptyGraph); // index drift
-        }
-        // Fenwick live index: rank/select must agree with the alive bits.
-        for (k, v) in self.live_nodes().enumerate() {
-            if self.live_index.select(k) != v.index() {
-                return Err(GraphError::EmptyGraph); // index drift
             }
         }
         Ok(())
@@ -886,6 +926,7 @@ mod tests {
         for v in 1..6u32 {
             g.add_edge(NodeId(0), NodeId(v)).unwrap();
         }
+        assert!(g.degrees.get().is_none(), "only a query builds the index");
         assert_eq!(g.max_degree_node(), Some(NodeId(0)));
         g.remove_node(NodeId(0)).unwrap();
         // All survivors are isolated again.
@@ -908,6 +949,10 @@ mod tests {
         for v in [0u32, 3, 7, 9] {
             g.remove_node(NodeId(v)).unwrap();
         }
+        assert!(
+            g.live_index.get().is_none(),
+            "only a query builds the index"
+        );
         let live: Vec<NodeId> = g.live_nodes().collect();
         for (k, &v) in live.iter().enumerate() {
             assert_eq!(g.nth_live(k), Some(v));
@@ -921,6 +966,17 @@ mod tests {
         assert_eq!(g.nth_live(live.len() - 1), Some(*live.last().unwrap()));
         assert_eq!(g.nth_live(0), Some(NodeId(1)));
         g.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_names_the_broken_invariant() {
+        let mut g = path(3);
+        g.edge_count += 1;
+        assert_eq!(g.validate(), Err(GraphError::Corrupt("edge count")));
+        let mut g = path(3);
+        g.max_degree_node();
+        g.degrees.get_mut().unwrap().pos.swap(0, 2);
+        assert_eq!(g.validate(), Err(GraphError::Corrupt("degree index entry")));
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! high-water mark is the peak total adjacency size, and after that
 //! steady-state churn is allocation-free.
 //!
-//! `Graph`'s degree index keeps its degree buckets in a pool of its own,
-//! appending with [`AdjPool::push`] and removing with
-//! [`AdjPool::swap_remove`].
+//! `Graph`'s degree index, once a query has built it, keeps its degree
+//! buckets in a pool of its own: the build sizes every bucket with one
+//! [`AdjPool::reserve`], and later moves append with [`AdjPool::push`]
+//! and remove with [`AdjPool::swap_remove`].
 
 use crate::ids::NodeId;
 
@@ -83,6 +84,15 @@ pub struct AdjPool {
 #[inline]
 fn cap_of(class: u8) -> u32 {
     MIN_CAP << class
+}
+
+/// The smallest size class that holds `len` values.
+fn class_for(len: usize) -> u8 {
+    let mut class = 0;
+    while (cap_of(class) as usize) < len {
+        class += 1;
+    }
+    class
 }
 
 impl AdjPool {
@@ -161,28 +171,27 @@ impl AdjPool {
         r.len += 1;
     }
 
-    /// Append every value of `values`, moving the chunk at most once, into
-    /// the smallest size class that holds them all.
-    pub fn extend(&mut self, r: &mut ChunkRef, values: impl ExactSizeIterator<Item = NodeId>) {
-        if values.len() == 0 {
-            return;
-        }
-        let len = r.len as usize + values.len();
-        if r.off == NIL || len > cap_of(r.class) as usize {
-            let mut class = 0;
-            while (cap_of(class) as usize) < len {
-                class += 1;
-            }
-            self.move_to(r, class);
-        }
-        let start = (r.off + r.len) as usize;
-        for (slot, value) in self.slots[start..start + values.len()]
-            .iter_mut()
-            .zip(values)
-        {
-            *slot = value;
-        }
-        r.len = len as u32;
+    /// One empty chunk per entry of `lens`, each of the smallest class
+    /// that holds that many values (the empty handle for 0), carved from
+    /// the arena after growing it once for all of them. Filling a chunk
+    /// with [`AdjPool::push`] up to its length then never moves it.
+    pub fn reserve(&mut self, lens: &[u32]) -> Vec<ChunkRef> {
+        let classes = || {
+            lens.iter()
+                .map(|&len| (len > 0).then(|| class_for(len as usize)))
+        };
+        let total = classes().flatten().map(|class| cap_of(class) as usize);
+        self.slots.reserve(total.sum());
+        classes()
+            .map(|class| match class {
+                Some(class) => ChunkRef {
+                    off: self.alloc(class),
+                    len: 0,
+                    class,
+                },
+                None => ChunkRef::default(),
+            })
+            .collect()
     }
 
     /// Append `value`; grows the chunk into the next size class when full.
@@ -306,17 +315,20 @@ mod tests {
     }
 
     #[test]
-    fn extend_moves_once_into_the_class_that_fits() {
+    fn reserve_sizes_each_chunk_to_fit_in_one_arena_growth() {
         let mut pool = AdjPool::default();
-        let mut r = ChunkRef::default();
-        pool.extend(&mut r, std::iter::empty());
-        assert_eq!(pool.arena_len(), 0, "an empty extend allocates no chunk");
-        pool.extend(&mut r, (0..3u32).map(NodeId));
-        pool.extend(&mut r, (3..20u32).map(NodeId));
-        assert_eq!(ids(&pool, &r), (0..20).collect::<Vec<_>>());
-        // One move from class 0 (cap 4) straight to class 3 (cap 32).
-        assert_eq!(pool.free_chunk_count(), 1);
-        assert_eq!(pool.arena_len(), 4 + 32);
+        let mut refs = pool.reserve(&[3, 0, 5, 4]);
+        // Classes 0, none, 1, 0: one arena of 4 + 8 + 4 slots.
+        assert_eq!(pool.arena_len(), 4 + 8 + 4);
+        assert!(refs[1].is_empty());
+        assert_eq!(pool.slice(&refs[1]), &[] as &[NodeId]);
+        for v in 0..5u32 {
+            pool.push(&mut refs[2], NodeId(v));
+        }
+        // Filling a reserved chunk to its length never moves it.
+        assert_eq!(pool.arena_len(), 4 + 8 + 4);
+        assert_eq!(pool.free_chunk_count(), 0);
+        assert_eq!(ids(&pool, &refs[2]), (0..5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Breadth-first and depth-first traversal over live nodes.
+//! Breadth-first traversal over live nodes.
 //!
-//! Both traversals allocate their bookkeeping from the graph's
-//! [`node_bound`](crate::Graph::node_bound) so they are safe to run on
+//! The traversal allocates its bookkeeping from the graph's
+//! [`node_bound`](crate::Graph::node_bound) so it is safe to run on
 //! graphs with tombstoned (deleted) nodes.
 
 use crate::graph::Graph;
@@ -33,58 +33,6 @@ pub fn bfs<F: FnMut(NodeId, u32)>(g: &Graph, src: NodeId, mut visit: F) -> usize
         }
     }
     count
-}
-
-/// Iterative depth-first search from `src`, invoking `visit` in preorder.
-///
-/// Neighbors are explored in increasing id order (the sorted adjacency
-/// order), making the traversal deterministic. Returns the number of nodes
-/// visited.
-pub fn dfs<F: FnMut(NodeId)>(g: &Graph, src: NodeId, mut visit: F) -> usize {
-    if !g.is_alive(src) {
-        return 0;
-    }
-    let mut seen = vec![false; g.node_bound()];
-    let mut stack = vec![src];
-    seen[src.index()] = true;
-    let mut count = 0;
-    while let Some(v) = stack.pop() {
-        visit(v);
-        count += 1;
-        // Push in reverse so the smallest-id neighbor is expanded first.
-        for &u in g.neighbors(v).iter().rev() {
-            if !seen[u.index()] {
-                seen[u.index()] = true;
-                stack.push(u);
-            }
-        }
-    }
-    count
-}
-
-/// Collect the nodes reachable from `src` (including `src`), sorted by id.
-pub fn reachable_set(g: &Graph, src: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    bfs(g, src, |v, _| out.push(v));
-    out.sort_unstable();
-    out
-}
-
-/// BFS layers from `src`: `layers[d]` holds all nodes at distance exactly
-/// `d`, each layer sorted by id.
-pub fn bfs_layers(g: &Graph, src: NodeId) -> Vec<Vec<NodeId>> {
-    let mut layers: Vec<Vec<NodeId>> = Vec::new();
-    bfs(g, src, |v, d| {
-        let d = d as usize;
-        if layers.len() <= d {
-            layers.resize_with(d + 1, Vec::new);
-        }
-        layers[d].push(v);
-    });
-    for layer in &mut layers {
-        layer.sort_unstable();
-    }
-    layers
 }
 
 #[cfg(test)]
@@ -123,41 +71,5 @@ mod tests {
         let mut g = cycle(4);
         g.remove_node(NodeId(0)).unwrap();
         assert_eq!(bfs(&g, NodeId(0), |_, _| {}), 0);
-        assert_eq!(dfs(&g, NodeId(0), |_| {}), 0);
-    }
-
-    #[test]
-    fn dfs_preorder_is_deterministic() {
-        let mut g = Graph::new(5);
-        g.add_edge(NodeId(0), NodeId(2)).unwrap();
-        g.add_edge(NodeId(0), NodeId(1)).unwrap();
-        g.add_edge(NodeId(1), NodeId(3)).unwrap();
-        g.add_edge(NodeId(2), NodeId(4)).unwrap();
-        let mut order = Vec::new();
-        dfs(&g, NodeId(0), |v| order.push(v));
-        assert_eq!(
-            order,
-            vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2), NodeId(4)]
-        );
-    }
-
-    #[test]
-    fn reachable_set_respects_disconnection() {
-        let mut g = cycle(6);
-        g.remove_node(NodeId(1)).unwrap();
-        g.remove_node(NodeId(4)).unwrap();
-        // Cycle 0-1-2-3-4-5 minus {1,4} leaves paths 2-3 and 5-0.
-        assert_eq!(reachable_set(&g, NodeId(0)), vec![NodeId(0), NodeId(5)]);
-        assert_eq!(reachable_set(&g, NodeId(2)), vec![NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn bfs_layers_group_by_distance() {
-        let g = cycle(6);
-        let layers = bfs_layers(&g, NodeId(0));
-        assert_eq!(layers[0], vec![NodeId(0)]);
-        assert_eq!(layers[1], vec![NodeId(1), NodeId(5)]);
-        assert_eq!(layers[2], vec![NodeId(2), NodeId(4)]);
-        assert_eq!(layers[3], vec![NodeId(3)]);
     }
 }

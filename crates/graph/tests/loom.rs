@@ -16,6 +16,11 @@
 //! take `&mut Graph`, so they cannot race queries by construction; what
 //! can race — and what is explored here — is repair vs. repair vs.
 //! `clone`'s relaxed snapshot (graph.rs `DegreeIndex::clone`).
+//!
+//! The degree index is built by the first degree query, through std's
+//! `OnceLock::get_or_init`. That first race belongs to std, and loom does
+//! not model it: the graphs below are queried once before any thread
+//! starts, so every model explores repairs of an index already built.
 #![cfg(loom)]
 
 use std::sync::Arc;
@@ -26,12 +31,17 @@ use selfheal_graph::{Graph, NodeId};
 /// Star K1,3 with the hub removed and one fresh edge: true max degree 1
 /// (nodes 1,2), true min 0 (node 3), but `max_hint` is stranded at 3 by
 /// the hub's departure. Every query must repair to the exact answer.
+///
+/// The hub query builds the degree index while the hub is still there;
+/// built after the removal instead, the index would start from exact
+/// hints and no query would have anything to repair.
 fn stranded_hint_graph() -> Graph {
     let mut g = Graph::new(4);
     for v in 1..4 {
         g.add_edge(NodeId::from_index(0), NodeId::from_index(v))
             .unwrap();
     }
+    assert_eq!(g.max_degree_node(), Some(NodeId::from_index(0)));
     g.remove_node(NodeId::from_index(0)).unwrap();
     g.add_edge(NodeId::from_index(1), NodeId::from_index(2))
         .unwrap();
