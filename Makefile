@@ -79,8 +79,10 @@ bench-regress:
 
 ## Paired end-to-end comparison against a base revision:
 ## `make bench-pair BASE=<rev> PAIRS=10 [WORKLOADS=a,b]`.
-## Exports BASE into target/bench-pair/base, then alternates base and
-## working-tree runs of the BENCHMARK.json command per workload, on
+## Exports BASE into target/bench-pair/base-src, builds the BENCHMARK.json
+## command there and in the working tree, copies each build's executable
+## to target/bench-pair/{base,head}/, then alternates runs of the two
+## copies (with the command's program arguments) per workload, on
 ## seeds 11.. plus the held-out seed from healbench/meta.json, and
 ## prints per metric both medians with quartiles, the head's win count
 ## and a verdict against the metric's bound. Exits 1 on a regression or
@@ -216,14 +218,9 @@ clippy:
 
 ## Build and run every example (quickstart last so its output is on screen).
 examples:
-	$(CARGO) run -q --release --example attack_matrix
-	$(CARGO) run -q --release --example batch_failures
-	$(CARGO) run -q --release --example distributed_churn
-	$(CARGO) run -q --release --example distributed_dash
-	$(CARGO) run -q --release --example lower_bound
-	$(CARGO) run -q --release --example overlay_churn
-	$(CARGO) run -q --release --example sweep_fleet
-	$(CARGO) run -q --release --example quickstart
+	@set -e; for f in $$(ls examples/*.rs | grep -v '/quickstart\.rs$$') examples/quickstart.rs; do \
+	  $(CARGO) run -q --release --example $$(basename $$f .rs); \
+	done
 
 ## Regenerate the paper's figures (quick scale) with CSV dumps under out/.
 figures:

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfheal_experiments::config::{AttackKind, HealerKind};
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_experiments::runner::run_trial;
 use selfheal_graph::generators::barabasi_albert;
 use selfheal_graph::parallel::parallel_apsp;
@@ -28,12 +28,12 @@ fn bench_design_ablation(c: &mut Criterion) {
         "healer", "max dδ", "heal edges"
     );
     let points = [
-        (HealerKind::Dash, "components + δ-ordering"),
-        (HealerKind::BinaryTreeHeal, "components only"),
-        (HealerKind::GraphHeal, "neither"),
+        (HealerSpec::Dash, "components + δ-ordering"),
+        (HealerSpec::BinaryTreeHeal, "components only"),
+        (HealerSpec::GraphHeal, "neither"),
     ];
     for (healer, what) in points {
-        let stats = run_trial(N, healer, AttackKind::NeighborOfMax, SEED);
+        let stats = run_trial(N, healer, AdversarySpec::NeighborOfMax, SEED);
         println!(
             "  {:>14}  {:>10}  {:>12}  {what}",
             healer.name(),
@@ -49,7 +49,7 @@ fn bench_design_ablation(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     for (healer, _) in points {
         group.bench_with_input(BenchmarkId::new(healer.name(), N), &healer, |b, &h| {
-            b.iter(|| black_box(run_trial(N, h, AttackKind::NeighborOfMax, SEED)));
+            b.iter(|| black_box(run_trial(N, h, AdversarySpec::NeighborOfMax, SEED)));
         });
     }
     group.finish();

@@ -6,8 +6,8 @@
 //! healing path, which maximizes propagation distance).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_core::state::HealingNetwork;
-use selfheal_experiments::config::{AttackKind, HealerKind};
 use selfheal_experiments::runner::run_trial;
 use selfheal_graph::generators::path_graph;
 use selfheal_graph::NodeId;
@@ -19,8 +19,8 @@ const SEED: u64 = 20080124;
 fn bench_fig9(c: &mut Criterion) {
     println!("\nFig 9 rows @ n = {N} (NeighborOfMax attack):");
     println!("  {:>14}  {:>10}  {:>12}", "healer", "max #id", "max msgs");
-    for healer in HealerKind::figure_set() {
-        let stats = run_trial(N, healer, AttackKind::NeighborOfMax, SEED);
+    for healer in HealerSpec::figure_set() {
+        let stats = run_trial(N, healer, AdversarySpec::NeighborOfMax, SEED);
         println!(
             "  {:>14}  {:>10}  {:>12}",
             healer.name(),

@@ -7,9 +7,12 @@
 //!
 //! Run from the repository root (`make bench-pair BASE=<rev> PAIRS=<k>
 //! [WORKLOADS=..]` does). It exports `<rev>` with `git archive` into
-//! `target/bench-pair/base`, builds the benchmark there and in the
-//! working tree, then for each workload runs `k` pairs: seeds 11, 12, ..
-//! and, as the last pair, the held-out seed from `healbench/meta.json`.
+//! `target/bench-pair/base-src`, builds the benchmark there and in the
+//! working tree, and copies each build's executable to
+//! `target/bench-pair/{base,head}/`. Every run starts that copy, so an
+//! edit made while the pairs run changes neither side. For each workload
+//! it runs `k` pairs: seeds 11, 12, .. and, as the last pair, the
+//! held-out seed from `healbench/meta.json`.
 //! Within a pair the two sides alternate which runs first. It prints
 //! one table per workload (see `selfheal_bench::pair` for the
 //! verdicts) and exits 1 if any metric regressed past its bound or any
@@ -19,11 +22,12 @@
 //! stale entries; the working tree's copy is restored when the tool
 //! exits (after an interrupt, `git checkout healbench/Cargo.lock`).
 
-use selfheal_bench::pair::{table, Benchmark, Json, Row, RunResult, Verdict};
+use selfheal_bench::pair::{built_executable, table, Benchmark, Json, Row, RunResult, Verdict};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
-const BASE_DIR: &str = "target/bench-pair/base";
+const BASE_SRC: &str = "target/bench-pair/base-src";
+const PIN_DIR: &str = "target/bench-pair";
 const FIRST_SEED: u64 = 11;
 const LOCK: &str = "healbench/Cargo.lock";
 
@@ -104,8 +108,8 @@ fn export(rev: &str, dir: &Path) -> Result<(), String> {
     }
 }
 
-/// The benchmark command with `run` swapped for `build` and its
-/// program arguments dropped.
+/// The benchmark command with `run` swapped for `build`, its program
+/// arguments dropped, and cargo's messages asked for as JSON.
 fn build_command(command: &[String]) -> Vec<String> {
     command
         .iter()
@@ -117,7 +121,32 @@ fn build_command(command: &[String]) -> Vec<String> {
                 a.clone()
             }
         })
+        .chain(["--message-format=json".into()])
         .collect()
+}
+
+/// Build the benchmark in `dir` and copy its executable to
+/// `target/bench-pair/<side>/` (replacing that directory); returns the
+/// copy's absolute path.
+fn build_and_pin(dir: &Path, command: &[String], side: &str) -> Result<String, String> {
+    eprintln!("bench-pair: building in {}", dir.display());
+    let built = built_executable(&run_in(dir, &build_command(command))?).ok_or(format!(
+        "the build in {} reported no executable",
+        dir.display()
+    ))?;
+    let built = Path::new(&built);
+    let pin_dir = Path::new(PIN_DIR).join(side);
+    if pin_dir.exists() {
+        std::fs::remove_dir_all(&pin_dir)
+            .map_err(|e| format!("cannot clear {}: {e}", pin_dir.display()))?;
+    }
+    std::fs::create_dir_all(&pin_dir)
+        .map_err(|e| format!("cannot create {}: {e}", pin_dir.display()))?;
+    let pinned = pin_dir.join(built.file_name().ok_or("executable has no file name")?);
+    std::fs::copy(built, &pinned)
+        .and_then(|_| std::fs::canonicalize(&pinned))
+        .map(|p| p.to_string_lossy().into_owned())
+        .map_err(|e| format!("cannot pin {}: {e}", built.display()))
 }
 
 fn run_in(dir: &Path, argv: &[String]) -> Result<String, String> {
@@ -172,13 +201,13 @@ fn run() -> Result<bool, String> {
         .collect();
 
     let _restore = RestoreLock(std::fs::read(LOCK).ok());
-    let base_dir = PathBuf::from(BASE_DIR);
+    let base_dir = PathBuf::from(BASE_SRC);
     let head_dir = PathBuf::from(".");
     export(&args.base, &base_dir)?;
-    for dir in [&base_dir, &head_dir] {
-        eprintln!("bench-pair: building in {}", dir.display());
-        run_in(dir, &build_command(&bench.command))?;
-    }
+    let binaries = [
+        build_and_pin(&base_dir, &bench.command, "base")?,
+        build_and_pin(&head_dir, &bench.command, "head")?,
+    ];
 
     println!(
         "bench-pair: base {} vs working tree, {} pairs per workload (seeds {:?}), {seconds} s per run\n",
@@ -192,16 +221,7 @@ fn run() -> Result<bool, String> {
             let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
             for side in order {
                 let dir = [&base_dir, &head_dir][side];
-                let mut argv = bench.command.clone();
-                for (flag, value) in [
-                    ("--workload", workload.clone()),
-                    ("--seed", seed.to_string()),
-                    ("--seconds", seconds.to_string()),
-                    ("--trace", "0".to_string()),
-                ] {
-                    argv.push(flag.into());
-                    argv.push(value);
-                }
+                let argv = bench.run_argv(&binaries[side], workload, *seed);
                 let name = ["base", "head"][side];
                 let run = RunResult::from_output(&run_in(dir, &argv)?)
                     .ok_or(format!("{workload} seed {seed} ({name}): no result line"))?;

@@ -138,9 +138,10 @@ pub mod baseline {
     //! exports, merges them (bench targets are separate processes, last
     //! record wins), serializes the merged set as the checked-in
     //! `BENCH_<pr>.json` baseline, and compares a fresh export against a
-    //! baseline with a median + MAD tolerance. Everything is hand-rolled
-    //! over the flat record grammar, keeping the bench crate dependency-free.
+    //! baseline with a median + MAD tolerance. Records are read with
+    //! [`Json`], keeping the bench crate dependency-free.
 
+    use crate::pair::Json;
     use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
@@ -195,83 +196,34 @@ pub mod baseline {
         pub verdict: Verdict,
     }
 
-    /// Parse one flat JSON record (`{"group":"..","median_ns":123,..}`).
-    ///
-    /// Supports exactly the grammar the exporter emits: string values
-    /// with `\"`/`\\` escapes and unsigned integer values.
-    pub fn parse_record(line: &str) -> Option<BenchRecord> {
-        let mut strings: BTreeMap<String, String> = BTreeMap::new();
-        let mut numbers: BTreeMap<String, u64> = BTreeMap::new();
-        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut chars = body.chars().peekable();
-        loop {
-            // Key.
-            while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
-                chars.next();
-            }
-            if chars.peek().is_none() {
-                break;
-            }
-            if chars.next()? != '"' {
-                return None;
-            }
-            let key = read_string(&mut chars)?;
-            while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-                chars.next();
-            }
-            if chars.next()? != ':' {
-                return None;
-            }
-            while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-                chars.next();
-            }
-            match chars.peek()? {
-                '"' => {
-                    chars.next();
-                    strings.insert(key, read_string(&mut chars)?);
-                }
-                c if c.is_ascii_digit() => {
-                    let mut n = 0u64;
-                    while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-                        n = n
-                            .checked_mul(10)?
-                            .checked_add(chars.next()? as u64 - '0' as u64)?;
-                    }
-                    numbers.insert(key, n);
-                }
-                _ => return None,
-            }
-        }
-        Some(BenchRecord {
-            group: strings.remove("group")?,
-            bench: strings.remove("bench")?,
-            median_ns: numbers.remove("median_ns")?,
-            mad_ns: numbers.remove("mad_ns")?,
-            samples: numbers.remove("samples")?,
-        })
-    }
-
-    fn read_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-        let mut s = String::new();
-        loop {
-            match chars.next()? {
-                '"' => return Some(s),
-                '\\' => s.push(chars.next()?),
-                c => s.push(c),
-            }
-        }
-    }
-
     /// Parse a whole export (JSONL or the checked-in JSON array — the
     /// array form is one record per line plus brackets, so line-wise
-    /// parsing covers both). Duplicate keys keep the *last* record: a
-    /// re-run bench within one `cargo bench` invocation supersedes its
-    /// earlier appearance.
+    /// parsing covers both). A line is a record when it is a JSON object
+    /// with string `group` and `bench` and unsigned integer `median_ns`,
+    /// `mad_ns` and `samples`; other lines are skipped. Duplicate keys
+    /// keep the *last* record: a re-run bench within one `cargo bench`
+    /// invocation supersedes its earlier appearance.
     pub fn parse_export(text: &str) -> Vec<BenchRecord> {
         let mut merged: BTreeMap<String, BenchRecord> = BTreeMap::new();
         for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if let Some(rec) = parse_record(line) {
+            let Some(doc) = Json::parse(line.trim().trim_end_matches(',')) else {
+                continue;
+            };
+            let string = |key| doc.get(key)?.as_str().map(str::to_string);
+            let count = |key| {
+                let n = doc.get(key)?.as_f64()?;
+                (n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(53)).then_some(n as u64)
+            };
+            let record = || {
+                Some(BenchRecord {
+                    group: string("group")?,
+                    bench: string("bench")?,
+                    median_ns: count("median_ns")?,
+                    mad_ns: count("mad_ns")?,
+                    samples: count("samples")?,
+                })
+            };
+            if let Some(rec) = record() {
                 merged.insert(rec.key(), rec);
             }
         }
@@ -380,14 +332,33 @@ pub mod baseline {
 
         #[test]
         fn parse_handles_escapes_and_rejects_garbage() {
-            let r = parse_record(
+            let r = parse_export(
                 "{\"group\":\"a\\\"b\",\"bench\":\"x\\\\y\",\"median_ns\":5,\"mad_ns\":0,\"samples\":3}",
+            );
+            assert_eq!(r.len(), 1);
+            assert_eq!(r[0].group, "a\"b");
+            assert_eq!(r[0].bench, "x\\y");
+            assert!(parse_export("not json").is_empty());
+            assert!(parse_export("{\"group\":\"g\"}").is_empty());
+            assert!(parse_export(
+                "{\"group\":\"g\",\"bench\":\"b\",\"median_ns\":-5,\"mad_ns\":0,\"samples\":3}"
             )
-            .unwrap();
-            assert_eq!(r.group, "a\"b");
-            assert_eq!(r.bench, "x\\y");
-            assert!(parse_record("not json").is_none());
-            assert!(parse_record("{\"group\":\"g\"}").is_none());
+            .is_empty());
+        }
+
+        #[test]
+        fn checked_in_baselines_parse_and_re_emit_byte_for_byte() {
+            for (text, count) in [
+                (include_str!("../../../BENCH_7.json"), 56),
+                (include_str!("../../../BENCH_8.json"), 56),
+                (include_str!("../../../BENCH_10.json"), 59),
+            ] {
+                let records = parse_export(text);
+                assert_eq!(records.len(), count);
+                assert_eq!(records[0].key(), "ablation_apsp_1024/threads/1");
+                assert_eq!(records[count - 1].key(), "sweep/epidemic_64_runs_audited/2");
+                assert_eq!(to_json(&records), text);
+            }
         }
 
         #[test]

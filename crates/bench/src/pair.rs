@@ -201,8 +201,7 @@ pub struct Metric {
 /// What `BENCHMARK.json` declares.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Benchmark {
-    /// The command; each run appends `--workload W --seed S --seconds T
-    /// --trace 0`.
+    /// The command: a `cargo run` whose program arguments follow `--`.
     pub command: Vec<String>,
     /// Seconds per run.
     pub run_seconds: u64,
@@ -246,6 +245,42 @@ impl Benchmark {
                 .collect::<Option<_>>()?,
         })
     }
+
+    /// The argv of one run of `binary`, the executable a build of the
+    /// command produced: the program arguments that follow `--` in the
+    /// command, then `--workload W --seed S --seconds T --trace 0`.
+    pub fn run_argv(&self, binary: &str, workload: &str, seed: u64) -> Vec<String> {
+        let program_args = self.command.iter().skip_while(|a| *a != "--").skip(1);
+        let run = [
+            "--workload",
+            workload,
+            "--seed",
+            &seed.to_string(),
+            "--seconds",
+            &self.run_seconds.to_string(),
+            "--trace",
+            "0",
+        ]
+        .map(str::to_string);
+        std::iter::once(binary.to_string())
+            .chain(program_args.cloned())
+            .chain(run)
+            .collect()
+    }
+}
+
+/// The executable of a `bin` target that a `cargo build
+/// --message-format=json` run reports on its standard output (the last
+/// one, if several).
+pub fn built_executable(stdout: &str) -> Option<String> {
+    stdout.lines().rev().find_map(|line| {
+        let msg = Json::parse(line)?;
+        let kinds = msg.get("target")?.get("kind")?.as_array()?;
+        if !kinds.contains(&Json::Str("bin".into())) {
+            return None;
+        }
+        msg.get("executable")?.as_str().map(str::to_string)
+    })
 }
 
 /// The result line one benchmark run prints last:
@@ -447,6 +482,47 @@ mod tests {
             .expect("tick_p50_us is end to end");
         assert!(tick.lower_is_better);
         assert!(tick.bound > 0.0);
+    }
+
+    #[test]
+    fn runs_start_the_pinned_executable_not_cargo() {
+        let bench = Benchmark::parse(include_str!("../../../BENCHMARK.json")).expect("parses");
+        let pinned = "/work/target/bench-pair/head/healbench";
+        let argv = bench.run_argv(pinned, "serve-read", 12);
+        assert_eq!(argv[0], pinned);
+        assert!(!argv.iter().any(|a| a == "cargo" || a == "--"), "{argv:?}");
+        let tail: Vec<&str> = argv[argv.len() - 8..].iter().map(String::as_str).collect();
+        let seconds = bench.run_seconds.to_string();
+        assert_eq!(
+            tail,
+            [
+                "--workload",
+                "serve-read",
+                "--seed",
+                "12",
+                "--seconds",
+                &seconds,
+                "--trace",
+                "0"
+            ]
+        );
+    }
+
+    #[test]
+    fn finds_the_built_executable_in_cargo_messages() {
+        let out = concat!(
+            r#"{"reason":"compiler-artifact","target":{"kind":["lib"],"name":"dep"},"executable":null}"#,
+            "\n",
+            r#"{"reason":"compiler-artifact","target":{"kind":["bin"],"name":"healbench"},"executable":"/w/target/release/healbench"}"#,
+            "\n",
+            r#"{"reason":"build-finished","success":true}"#,
+            "\n"
+        );
+        assert_eq!(
+            built_executable(out).as_deref(),
+            Some("/w/target/release/healbench")
+        );
+        assert_eq!(built_executable("Compiling healbench\n"), None);
     }
 
     #[test]

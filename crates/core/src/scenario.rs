@@ -763,11 +763,6 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         self.healer.name()
     }
 
-    /// The event source's name.
-    pub fn source_name(&self) -> &'static str {
-        self.source.name()
-    }
-
     /// The report accumulated so far (per-node maxima are only refreshed
     /// by the run methods' final scan).
     pub fn report(&self) -> &ScenarioReport {

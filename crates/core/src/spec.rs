@@ -365,8 +365,8 @@ impl fmt::Display for GraphSpec {
 }
 
 /// The canonical healer registry — the *one* place a strategy name maps
-/// to a constructor. `experiments::config::HealerKind` is a re-export of
-/// this type, and the sweep fleet consumes it directly.
+/// to a constructor. The experiment harness and the sweep fleet consume
+/// it directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HealerSpec {
     /// Algorithm 1 (Degree-Based Self-Healing).

@@ -177,12 +177,10 @@ pub struct HealingNetwork {
     weight: Vec<u64>,
     n_initial: usize,
     total_created: usize,
-    deletions: u64,
     weight_lost: u64,
     id_changes: Vec<u32>,
     msgs_sent: Vec<u64>,
     msgs_recv: Vec<u64>,
-    prop_latency_total: u64,
     scratch: PropagationScratch,
     heal_scratch: HealScratch,
     touched: TouchLog,
@@ -215,12 +213,10 @@ impl HealingNetwork {
             weight: vec![1; n],
             n_initial: n,
             total_created: n,
-            deletions: 0,
             weight_lost: 0,
             id_changes: vec![0; n],
             msgs_sent: vec![0; n],
             msgs_recv: vec![0; n],
-            prop_latency_total: 0,
             scratch: PropagationScratch::default(),
             heal_scratch: HealScratch::default(),
             touched: TouchLog {
@@ -317,11 +313,6 @@ impl HealingNetwork {
         Ok(v)
     }
 
-    /// Deletions performed so far.
-    pub fn deletion_count(&self) -> u64 {
-        self.deletions
-    }
-
     /// Whether `v` is alive.
     pub fn is_alive(&self, v: NodeId) -> bool {
         self.g.is_alive(v)
@@ -388,12 +379,6 @@ impl HealingNetwork {
         self.msgs_sent[v.index()] + self.msgs_recv[v.index()]
     }
 
-    /// Total ID-propagation latency accumulated over all rounds (for the
-    /// amortized O(log n) claim of Lemma 9).
-    pub fn propagation_latency_total(&self) -> u64 {
-        self.prop_latency_total
-    }
-
     /// Maximum `δ(v)` over live nodes (0 for an empty network).
     pub fn max_delta_alive(&self) -> i64 {
         self.g
@@ -455,7 +440,6 @@ impl HealingNetwork {
             Some(h) => self.weight[h.index()] += w,
             None => self.weight_lost += w,
         }
-        self.deletions += 1;
         Ok(())
     }
 
@@ -533,7 +517,6 @@ impl HealingNetwork {
                 }
             }
         }
-        self.prop_latency_total += report.latency;
         report
     }
 
@@ -608,7 +591,6 @@ impl HealingNetwork {
                 }
             }
         }
-        self.prop_latency_total += report.latency;
         report
     }
 }
@@ -626,7 +608,6 @@ mod tests {
     fn initial_state() {
         let net = net_on_path(5);
         assert_eq!(net.initial_node_count(), 5);
-        assert_eq!(net.deletion_count(), 0);
         assert_eq!(net.initial_degree(NodeId(0)), 1);
         assert_eq!(net.initial_degree(NodeId(2)), 2);
         for v in 0..5u32 {
@@ -662,7 +643,6 @@ mod tests {
         assert_eq!(ctx.g_neighbors, vec![NodeId(0), NodeId(1), NodeId(3)]);
         assert_eq!(ctx.gprime_neighbors, vec![NodeId(0)]);
         assert!(!net.is_alive(NodeId(2)));
-        assert_eq!(net.deletion_count(), 1);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! evidence behind both choices, and adds this reproduction's extension
 //! adversaries (`Random`, `MinDegree`, `CutVertex`) for context.
 
-use crate::config::{AttackKind, HealerKind, Scale};
+use crate::config::{Scale, ATTACKS};
 use crate::runner::{extract, run_trials};
+use selfheal_core::spec::HealerSpec;
 use selfheal_metrics::{Figure, Series, SeriesPoint};
 
 /// Degree-increase comparison across all attacks, for a fixed healer.
-pub fn run_degree(scale: Scale, healer: HealerKind, base_seed: u64, threads: usize) -> Figure {
+pub fn run_degree(scale: Scale, healer: HealerSpec, base_seed: u64, threads: usize) -> Figure {
     let mut fig = Figure::new(
         format!(
             "E7: max degree increase per attack strategy (healer: {})",
@@ -22,7 +23,7 @@ pub fn run_degree(scale: Scale, healer: HealerKind, base_seed: u64, threads: usi
         "n",
         "max degree increase",
     );
-    for attack in AttackKind::all() {
+    for attack in ATTACKS {
         let mut series = Series::new(attack.name());
         for &n in &scale.degree_sizes() {
             let stats = run_trials(n, healer, attack, base_seed, scale.trials(), threads);
@@ -45,7 +46,7 @@ mod tests {
     /// averaged over trials).
     #[test]
     fn nms_dominates_maxnode_for_naive_healers() {
-        let fig = run_degree(Scale::Quick, HealerKind::GraphHeal, 31, 4);
+        let fig = run_degree(Scale::Quick, HealerSpec::GraphHeal, 31, 4);
         let nms = fig.series_named("neighbor-of-max").unwrap();
         let max_node = fig.series_named("max-node").unwrap();
         let last = *Scale::Quick.degree_sizes().last().unwrap() as f64;
@@ -59,8 +60,8 @@ mod tests {
 
     #[test]
     fn all_attacks_produce_points() {
-        let fig = run_degree(Scale::Quick, HealerKind::Dash, 5, 4);
-        assert_eq!(fig.series.len(), AttackKind::all().len());
+        let fig = run_degree(Scale::Quick, HealerSpec::Dash, 5, 4);
+        assert_eq!(fig.series.len(), ATTACKS.len());
         for s in &fig.series {
             assert_eq!(s.points.len(), Scale::Quick.degree_sizes().len());
         }
@@ -69,7 +70,7 @@ mod tests {
     /// DASH's bound is attack-independent.
     #[test]
     fn dash_bounded_under_every_attack() {
-        let fig = run_degree(Scale::Quick, HealerKind::Dash, 9, 4);
+        let fig = run_degree(Scale::Quick, HealerSpec::Dash, 9, 4);
         for s in &fig.series {
             for p in &s.points {
                 assert!(

@@ -1,18 +1,11 @@
-//! Experiment configuration: scales, strategy/attack enumerations, seeds.
+//! Experiment configuration: scales, the attack set, seeds.
 //!
-//! Since the spec-layer redesign the registries themselves live in
-//! `core::spec` — [`HealerKind`] *is* [`selfheal_core::spec::HealerSpec`]
-//! (re-exported under its historical name), and [`AttackKind`] defers
-//! construction to [`AdversarySpec`] — so the experiment harness names
-//! exactly the same strategies a `.scn` spec file does.
+//! The healer and adversary registries live in `core::spec`
+//! ([`HealerSpec`](selfheal_core::spec::HealerSpec) and [`AdversarySpec`]),
+//! so the experiment harness names exactly the same strategies a `.scn`
+//! spec file does.
 
-use selfheal_core::scenario::EventSource;
 use selfheal_core::spec::AdversarySpec;
-
-/// The canonical healer registry, under the name the experiment modules
-/// have always used. Construction (`build`), display names (`name`) and
-/// the figure set all come from the spec layer.
-pub use selfheal_core::spec::HealerSpec as HealerKind;
 
 /// Preset sizes/trial-counts.
 ///
@@ -64,58 +57,15 @@ impl Scale {
 /// experiments ("random power-law graphs by preferential attachment").
 pub const BA_ATTACHMENT: usize = 3;
 
-/// Attack strategies (the paper's two plus this reproduction's
-/// extensions). A thin curation layer over [`AdversarySpec`]: each kind
-/// names one registry entry and defers construction to it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttackKind {
-    /// Delete the maximum-degree node.
-    MaxNode,
-    /// Delete a random neighbor of the maximum-degree node (NMS).
-    NeighborOfMax,
-    /// Delete a uniformly random node.
-    Random,
-    /// Delete the minimum-degree node.
-    MinDegree,
-    /// Delete the highest-degree articulation point (extension attack).
-    CutVertex,
-}
-
-impl AttackKind {
-    /// The paper's two attacks plus this reproduction's extensions.
-    pub fn all() -> [AttackKind; 5] {
-        [
-            AttackKind::MaxNode,
-            AttackKind::NeighborOfMax,
-            AttackKind::Random,
-            AttackKind::MinDegree,
-            AttackKind::CutVertex,
-        ]
-    }
-
-    /// The declarative adversary this kind names.
-    pub fn spec(self) -> AdversarySpec {
-        match self {
-            AttackKind::MaxNode => AdversarySpec::MaxNode,
-            AttackKind::NeighborOfMax => AdversarySpec::NeighborOfMax,
-            AttackKind::Random => AdversarySpec::Random,
-            AttackKind::MinDegree => AdversarySpec::MinDegree,
-            AttackKind::CutVertex => AdversarySpec::CutVertex,
-        }
-    }
-
-    /// Instantiate with a seed (ignored by deterministic attacks); the
-    /// returned source drives [`ScenarioEngine`](selfheal_core::scenario::ScenarioEngine)
-    /// directly via the `Box<dyn EventSource>` blanket impl.
-    pub fn build(self, seed: u64) -> Box<dyn EventSource> {
-        self.spec().build(seed)
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        self.spec().name()
-    }
-}
+/// The single-victim attacks the attack tables compare: the paper's two
+/// plus this reproduction's extensions, in table order.
+pub const ATTACKS: [AdversarySpec; 5] = [
+    AdversarySpec::MaxNode,
+    AdversarySpec::NeighborOfMax,
+    AdversarySpec::Random,
+    AdversarySpec::MinDegree,
+    AdversarySpec::CutVertex,
+];
 
 /// Derive a per-trial seed from a base seed, size and trial index so each
 /// trial is independent but the whole sweep is reproducible.
@@ -135,21 +85,6 @@ mod tests {
         assert!(Scale::Quick.degree_sizes().len() < Scale::Full.degree_sizes().len());
         assert!(!Scale::Full.stretch_sizes().is_empty());
         assert!(!Scale::Quick.lowerbound_depths().is_empty());
-    }
-
-    #[test]
-    fn healer_names_match_instances() {
-        for kind in HealerKind::figure_set() {
-            assert_eq!(kind.name(), kind.build().name());
-        }
-        assert_eq!(HealerKind::NoHeal.name(), HealerKind::NoHeal.build().name());
-    }
-
-    #[test]
-    fn attack_names_match_instances() {
-        for kind in AttackKind::all() {
-            assert_eq!(kind.name(), kind.build(1).name());
-        }
     }
 
     #[test]

@@ -15,20 +15,21 @@
 //! the max, uniformly across strategies, so the ordinal comparison the
 //! figure makes is preserved.
 
-use crate::config::{trial_seed, AttackKind, HealerKind, Scale, BA_ATTACHMENT};
+use crate::config::{trial_seed, Scale, BA_ATTACHMENT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::scenario::ScenarioEngine;
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_core::state::HealingNetwork;
 use selfheal_graph::generators::barabasi_albert;
 use selfheal_metrics::{Figure, Series, SeriesPoint, StretchBaseline};
 
 /// Max stretch observed over one sampled kill-sweep.
-pub fn run_stretch_trial(n: usize, healer: HealerKind, seed: u64) -> f64 {
+pub fn run_stretch_trial(n: usize, healer: HealerSpec, seed: u64) -> f64 {
     let g = barabasi_albert(n, BA_ATTACHMENT, &mut StdRng::seed_from_u64(seed));
     let baseline = StretchBaseline::new(&g, 1);
     let net = HealingNetwork::new(g, seed);
-    let mut engine = ScenarioEngine::new(net, healer.build(), AttackKind::MaxNode.build(seed));
+    let mut engine = ScenarioEngine::new(net, healer.build(), AdversarySpec::MaxNode.build(seed));
     let sample_every = (n / 16).max(1) as u64;
     let mut max_stretch = 1.0f64;
     let mut rounds = 0u64;
@@ -51,7 +52,7 @@ pub fn run(scale: Scale, base_seed: u64, threads: usize) -> Figure {
         "max stretch",
     );
     let trials = scale.trials();
-    for healer in HealerKind::figure_set() {
+    for healer in HealerSpec::figure_set() {
         let mut series = Series::new(healer.name());
         for &n in &scale.stretch_sizes() {
             let workers = threads.max(1).min(trials.max(1));
@@ -83,7 +84,7 @@ mod tests {
 
     #[test]
     fn stretch_trial_is_finite_and_at_least_one() {
-        let s = run_stretch_trial(48, HealerKind::Dash, 3);
+        let s = run_stretch_trial(48, HealerSpec::Dash, 3);
         assert!(s.is_finite());
         assert!(s >= 1.0);
     }

@@ -9,8 +9,9 @@
 //! `log n` and stay below `2 log₂ n`; GraphHeal and BinaryTreeHeal grow
 //! much faster (polynomially), with GraphHeal worst.
 
-use crate::config::{AttackKind, HealerKind, Scale};
+use crate::config::Scale;
 use crate::runner::{extract, run_trials};
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_metrics::{Figure, Series, SeriesPoint};
 
 /// Run the Fig. 8 experiment.
@@ -20,13 +21,13 @@ pub fn run(scale: Scale, base_seed: u64, threads: usize) -> Figure {
         "n",
         "max degree increase",
     );
-    for healer in HealerKind::figure_set() {
+    for healer in HealerSpec::figure_set() {
         let mut series = Series::new(healer.name());
         for &n in &scale.degree_sizes() {
             let stats = run_trials(
                 n,
                 healer,
-                AttackKind::NeighborOfMax,
+                AdversarySpec::NeighborOfMax,
                 base_seed,
                 scale.trials(),
                 threads,

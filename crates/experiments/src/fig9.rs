@@ -8,8 +8,9 @@
 //!   with higher degree increase pay proportionally more — DASH/SDASH
 //!   should win, GraphHeal lose.
 
-use crate::config::{AttackKind, HealerKind, Scale};
+use crate::config::Scale;
 use crate::runner::{extract, run_trials, TrialStats};
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_metrics::{Figure, Series, SeriesPoint};
 
 fn run_metric(
@@ -21,13 +22,13 @@ fn run_metric(
     metric: impl Fn(&TrialStats) -> f64,
 ) -> Figure {
     let mut fig = Figure::new(title, "n", y_label);
-    for healer in HealerKind::figure_set() {
+    for healer in HealerSpec::figure_set() {
         let mut series = Series::new(healer.name());
         for &n in &scale.degree_sizes() {
             let stats = run_trials(
                 n,
                 healer,
-                AttackKind::NeighborOfMax,
+                AdversarySpec::NeighborOfMax,
                 base_seed,
                 scale.trials(),
                 threads,
@@ -80,7 +81,7 @@ mod tests {
     fn id_changes_below_record_breaking_bound() {
         let fig = run_id_changes(Scale::Quick, 7, 4);
         let bound = fig.series_named("2*ln(n) bound").unwrap();
-        for healer in HealerKind::figure_set() {
+        for healer in HealerSpec::figure_set() {
             let s = fig.series_named(healer.name()).unwrap();
             assert!(
                 s.dominated_by(bound),

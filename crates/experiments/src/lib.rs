@@ -37,7 +37,6 @@ pub mod fig10;
 pub mod fig8;
 pub mod fig9;
 pub mod lowerbound;
-pub mod observe;
 pub mod render;
 pub mod runner;
 pub mod scale;
@@ -47,4 +46,4 @@ pub mod sweep;
 pub mod theorem1;
 pub mod verify;
 
-pub use config::{AttackKind, HealerKind, Scale};
+pub use config::Scale;

@@ -6,8 +6,9 @@
 //! DASH's upper bound `2 log₂ n` — squeezing the implementation between
 //! the paper's lower and upper bounds.
 
-use crate::config::{HealerKind, Scale};
+use crate::config::Scale;
 use selfheal_core::levelattack::{run_level_attack, LevelAttackResult};
+use selfheal_core::spec::HealerSpec;
 use selfheal_metrics::Table;
 
 /// Per-round degree bound `M` of each healer (net degree added to any
@@ -15,29 +16,29 @@ use selfheal_metrics::Table;
 /// SDASH is *not* M-bounded (surrogation is unbounded per round), which is
 /// exactly why it evades the lower bound — it is included for contrast
 /// with `m = 2`.
-pub fn degree_bound_m(healer: HealerKind) -> usize {
+pub fn degree_bound_m(healer: HealerSpec) -> usize {
     match healer {
         // Binary-tree internal node: +3 edges, -1 lost to the victim.
-        HealerKind::Dash | HealerKind::BinaryTreeHeal | HealerKind::GraphHeal => 2,
+        HealerSpec::Dash | HealerSpec::BinaryTreeHeal | HealerSpec::GraphHeal => 2,
         // Line interior node: +2 edges, -1 lost.
-        HealerKind::LineHeal => 1,
+        HealerSpec::LineHeal => 1,
         // Not M-bounded; attacked with the DASH tree for comparison.
-        HealerKind::Sdash => 2,
+        HealerSpec::Sdash => 2,
         // Heir-rooted binary tree: same internal-node shape as DASH.
-        HealerKind::ForgivingTree => 2,
+        HealerSpec::ForgivingTree => 2,
         // Two cycle edges plus one chord per budget round.
-        HealerKind::RingForgiving { budget } => 1 + budget,
-        HealerKind::NoHeal => 0,
+        HealerSpec::RingForgiving { budget } => 1 + budget,
+        HealerSpec::NoHeal => 0,
     }
 }
 
 /// Run LEVELATTACK for every bounded healer at every depth.
 pub fn run(scale: Scale, base_seed: u64) -> Vec<LevelAttackResult> {
     let healers = [
-        HealerKind::Dash,
-        HealerKind::Sdash,
-        HealerKind::BinaryTreeHeal,
-        HealerKind::LineHeal,
+        HealerSpec::Dash,
+        HealerSpec::Sdash,
+        HealerSpec::BinaryTreeHeal,
+        HealerSpec::LineHeal,
     ];
     let mut results = Vec::new();
     for healer in healers {

@@ -11,8 +11,8 @@
 use selfheal_bench::alloc::CountingAlloc;
 use selfheal_core::spec::HealerSpec;
 use selfheal_experiments::{
-    attacks, batchexp, config::HealerKind, config::Scale, familyrank, fig10, fig8, fig9,
-    lowerbound, render, scale, servebench, specrun, sweep, theorem1, verify,
+    attacks, batchexp, config::Scale, familyrank, fig10, fig8, fig9, lowerbound, render, scale,
+    servebench, specrun, sweep, theorem1, verify,
 };
 use selfheal_metrics::csv::write_figure_csv;
 use selfheal_metrics::Figure;
@@ -345,7 +345,7 @@ fn main() {
         );
     }
     if run("attacks") {
-        for healer in [HealerKind::Dash, HealerKind::GraphHeal] {
+        for healer in [HealerSpec::Dash, HealerSpec::GraphHeal] {
             let fig = attacks::run_degree(opts.scale, healer, opts.seed, opts.threads);
             emit_figure(&fig, &format!("e7_attacks_{}", healer.name()), &opts);
         }

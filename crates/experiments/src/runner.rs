@@ -2,10 +2,11 @@
 //! collect the statistics every figure draws from; fan trials out over
 //! threads.
 
-use crate::config::{trial_seed, AttackKind, HealerKind, BA_ATTACHMENT};
+use crate::config::{trial_seed, BA_ATTACHMENT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::scenario::ScenarioEngine;
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_core::state::HealingNetwork;
 use selfheal_graph::generators::barabasi_albert;
 use selfheal_graph::NodeId;
@@ -38,7 +39,7 @@ pub struct TrialStats {
 }
 
 /// Run one complete kill-sweep on a fresh BA graph.
-pub fn run_trial(n: usize, healer: HealerKind, attack: AttackKind, seed: u64) -> TrialStats {
+pub fn run_trial(n: usize, healer: HealerSpec, attack: AdversarySpec, seed: u64) -> TrialStats {
     let g = barabasi_albert(n, BA_ATTACHMENT, &mut StdRng::seed_from_u64(seed));
     let max_initial_degree = selfheal_graph::properties::degree_stats(&g)
         .map(|s| s.max)
@@ -70,8 +71,8 @@ pub fn run_trial(n: usize, healer: HealerKind, attack: AttackKind, seed: u64) ->
 /// parallel and return the per-trial stats in trial order.
 pub fn run_trials(
     n: usize,
-    healer: HealerKind,
-    attack: AttackKind,
+    healer: HealerSpec,
+    attack: AdversarySpec,
     base_seed: u64,
     trials: usize,
     threads: usize,
@@ -105,7 +106,7 @@ mod tests {
 
     #[test]
     fn trial_runs_to_empty() {
-        let s = run_trial(48, HealerKind::Dash, AttackKind::NeighborOfMax, 7);
+        let s = run_trial(48, HealerSpec::Dash, AdversarySpec::NeighborOfMax, 7);
         assert_eq!(s.rounds, 48);
         assert!(s.max_delta >= 1);
         assert!(s.total_edges > 0);
@@ -115,16 +116,16 @@ mod tests {
 
     #[test]
     fn trials_are_reproducible() {
-        let a = run_trial(32, HealerKind::Sdash, AttackKind::MaxNode, 3);
-        let b = run_trial(32, HealerKind::Sdash, AttackKind::MaxNode, 3);
+        let a = run_trial(32, HealerSpec::Sdash, AdversarySpec::MaxNode, 3);
+        let b = run_trial(32, HealerSpec::Sdash, AdversarySpec::MaxNode, 3);
         assert_eq!(a.max_delta, b.max_delta);
         assert_eq!(a.total_messages, b.total_messages);
     }
 
     #[test]
     fn parallel_trials_match_serial() {
-        let par = run_trials(32, HealerKind::Dash, AttackKind::NeighborOfMax, 1, 4, 4);
-        let ser = run_trials(32, HealerKind::Dash, AttackKind::NeighborOfMax, 1, 4, 1);
+        let par = run_trials(32, HealerSpec::Dash, AdversarySpec::NeighborOfMax, 1, 4, 4);
+        let ser = run_trials(32, HealerSpec::Dash, AdversarySpec::NeighborOfMax, 1, 4, 1);
         assert_eq!(par.len(), 4);
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(p.max_delta, s.max_delta);
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn extract_pulls_fields() {
-        let stats = run_trials(24, HealerKind::Dash, AttackKind::MaxNode, 5, 2, 2);
+        let stats = run_trials(24, HealerSpec::Dash, AdversarySpec::MaxNode, 5, 2, 2);
         let deltas = extract(&stats, |s| s.max_delta as f64);
         assert_eq!(deltas.len(), 2);
         assert!(deltas.iter().all(|&d| d >= 0.0));

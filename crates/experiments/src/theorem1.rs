@@ -19,8 +19,9 @@
 //! literal formula at large `n` are expected and not counted as
 //! violations. See EXPERIMENTS.md (E5).
 
-use crate::config::{trial_seed, AttackKind, HealerKind, Scale};
+use crate::config::{trial_seed, Scale};
 use crate::runner::run_trials;
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_metrics::{summarize, Table};
 
 /// One row of the validation table.
@@ -55,17 +56,17 @@ pub struct TheoremRow {
 /// Run the Theorem 1 validation for DASH across all attacks.
 pub fn run(scale: Scale, base_seed: u64, threads: usize) -> Vec<TheoremRow> {
     let attacks = [
-        AttackKind::MaxNode,
-        AttackKind::NeighborOfMax,
-        AttackKind::Random,
-        AttackKind::MinDegree,
+        AdversarySpec::MaxNode,
+        AdversarySpec::NeighborOfMax,
+        AdversarySpec::Random,
+        AdversarySpec::MinDegree,
     ];
     let mut rows = Vec::new();
     for attack in attacks {
         for &n in &scale.degree_sizes() {
             let stats = run_trials(
                 n,
-                HealerKind::Dash,
+                HealerSpec::Dash,
                 attack,
                 trial_seed(base_seed, n, 9999) ^ attack.name().len() as u64,
                 scale.trials(),

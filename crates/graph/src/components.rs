@@ -144,16 +144,6 @@ impl UnionFind {
         x as usize
     }
 
-    /// Representative without mutation (no compression); slower, usable
-    /// through a shared reference.
-    pub fn find_immutable(&self, x: usize) -> usize {
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x as usize
-    }
-
     /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
@@ -247,7 +237,6 @@ mod tests {
         assert_eq!(uf.set_count(), 3);
         assert!(uf.same(0, 2));
         assert!(!uf.same(0, 3));
-        assert_eq!(uf.find_immutable(2), uf.find(0));
     }
 
     #[test]

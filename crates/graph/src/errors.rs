@@ -16,8 +16,6 @@ pub enum GraphError {
     EdgeExists(NodeId, NodeId),
     /// The requested edge does not exist.
     EdgeMissing(NodeId, NodeId),
-    /// An operation that requires a non-empty graph was called on an empty one.
-    EmptyGraph,
     /// [`crate::Graph::validate`] found the named internal invariant broken.
     Corrupt(&'static str),
 }
@@ -30,7 +28,6 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop(v) => write!(f, "self-loop at node {v} is not allowed"),
             GraphError::EdgeExists(u, v) => write!(f, "edge ({u}, {v}) already exists"),
             GraphError::EdgeMissing(u, v) => write!(f, "edge ({u}, {v}) does not exist"),
-            GraphError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
             GraphError::Corrupt(what) => write!(f, "graph invariant broken: {what}"),
         }
     }
@@ -58,7 +55,6 @@ mod tests {
         assert!(GraphError::EdgeMissing(NodeId(4), NodeId(5))
             .to_string()
             .contains("(4, 5)"));
-        assert!(!GraphError::EmptyGraph.to_string().is_empty());
         assert!(GraphError::Corrupt("edge count")
             .to_string()
             .contains("edge count"));

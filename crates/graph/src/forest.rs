@@ -3,9 +3,9 @@
 //! The healing algorithms wire a set of nodes into one of three shapes:
 //! a *complete binary tree* (DASH and the naive binary-tree heal), a
 //! *line* (the earlier Boman et al. baseline) or a *star* (SDASH's
-//! surrogation). The shape helpers here produce the edge lists; the
-//! predicates verify the forest invariant of the healing graph `G'`
-//! (Lemma 1 of the paper).
+//! surrogation). The shape helpers here produce the edge lists of the
+//! first two; the predicates verify the forest invariant of the healing
+//! graph `G'` (Lemma 1 of the paper).
 
 use crate::components::connected_components;
 use crate::graph::Graph;
@@ -28,48 +28,6 @@ pub fn is_tree(g: &Graph) -> bool {
         && crate::components::is_connected(g)
 }
 
-/// Index of the parent of position `i` in a complete binary tree laid out
-/// in level order, or `None` for the root.
-#[inline]
-pub fn parent_position(i: usize) -> Option<usize> {
-    if i == 0 {
-        None
-    } else {
-        Some((i - 1) / 2)
-    }
-}
-
-/// Child positions of `i` that exist in a complete binary tree of `len`
-/// nodes (level-order layout).
-#[inline]
-pub fn child_positions(i: usize, len: usize) -> impl Iterator<Item = usize> {
-    let left = 2 * i + 1;
-    let right = 2 * i + 2;
-    [left, right].into_iter().filter(move |&c| c < len)
-}
-
-/// Whether position `i` is a leaf of a complete binary tree with `len`
-/// nodes.
-#[inline]
-pub fn is_leaf_position(i: usize, len: usize) -> bool {
-    2 * i + 1 >= len
-}
-
-/// Number of leaves in a complete binary tree of `len` nodes.
-///
-/// At least half the positions are leaves — the structural fact DASH uses
-/// to park the highest-δ nodes where their degree cannot grow.
-#[inline]
-pub fn leaf_count(len: usize) -> usize {
-    len - len / 2
-}
-
-/// Depth (root = 0) of position `i` in a level-order complete binary tree.
-#[inline]
-pub fn position_depth(i: usize) -> u32 {
-    (usize::BITS - 1).saturating_sub((i + 1).leading_zeros())
-}
-
 /// Edge list wiring `nodes` into a complete binary tree in the given
 /// order: `nodes[0]` is the root, `nodes[1..3]` its children, and so on
 /// (left to right, top down — exactly the mapping in Algorithm 1).
@@ -84,16 +42,6 @@ pub fn complete_binary_tree_edges(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
 /// Edge list wiring `nodes` into a line (path) in the given order.
 pub fn line_edges(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
     nodes.windows(2).map(|w| (w[0], w[1])).collect()
-}
-
-/// Edge list wiring every node in `others` to `center` (a star).
-pub fn star_edges(center: NodeId, others: &[NodeId]) -> Vec<(NodeId, NodeId)> {
-    others
-        .iter()
-        .copied()
-        .filter(|&v| v != center)
-        .map(|v| (center, v))
-        .collect()
 }
 
 #[cfg(test)]
@@ -126,38 +74,6 @@ mod tests {
         let e = Graph::new(0);
         assert!(is_forest(&e));
         assert!(!is_tree(&e));
-    }
-
-    #[test]
-    fn binary_tree_positions() {
-        assert_eq!(parent_position(0), None);
-        assert_eq!(parent_position(1), Some(0));
-        assert_eq!(parent_position(2), Some(0));
-        assert_eq!(parent_position(5), Some(2));
-        assert_eq!(child_positions(0, 6).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(child_positions(2, 6).collect::<Vec<_>>(), vec![5]);
-        assert_eq!(child_positions(3, 6).count(), 0);
-        assert!(is_leaf_position(3, 6));
-        assert!(!is_leaf_position(2, 6));
-    }
-
-    #[test]
-    fn at_least_half_are_leaves() {
-        for len in 1..200 {
-            assert!(leaf_count(len) * 2 >= len, "len={len}");
-            let structural = (0..len).filter(|&i| is_leaf_position(i, len)).count();
-            assert_eq!(structural, leaf_count(len), "len={len}");
-        }
-    }
-
-    #[test]
-    fn position_depths() {
-        assert_eq!(position_depth(0), 0);
-        assert_eq!(position_depth(1), 1);
-        assert_eq!(position_depth(2), 1);
-        assert_eq!(position_depth(3), 2);
-        assert_eq!(position_depth(6), 2);
-        assert_eq!(position_depth(7), 3);
     }
 
     #[test]
@@ -199,7 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn line_and_star_edges() {
+    fn line_edges_shape() {
         let nodes = ids(&[1, 2, 3, 4]);
         assert_eq!(
             line_edges(&nodes),
@@ -209,15 +125,6 @@ mod tests {
                 (NodeId(3), NodeId(4))
             ]
         );
-        assert_eq!(
-            star_edges(NodeId(2), &nodes),
-            vec![
-                (NodeId(2), NodeId(1)),
-                (NodeId(2), NodeId(3)),
-                (NodeId(2), NodeId(4))
-            ]
-        );
         assert!(line_edges(&ids(&[7])).is_empty());
-        assert!(star_edges(NodeId(7), &ids(&[7])).is_empty());
     }
 }

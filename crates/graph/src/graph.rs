@@ -620,15 +620,9 @@ impl Graph {
     /// This is the information the paper assumes every node maintains
     /// ("for all nodes x, y, z such that x is a neighbor of y and y is a
     /// neighbor of z, x knows z").
-    pub fn neighbors_of_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.neighbors_of_neighbors_into(v, &mut out);
-        out
-    }
-
-    /// [`Graph::neighbors_of_neighbors`] writing into a caller-owned
-    /// buffer (cleared first), so per-deletion NoN walks can reuse one
-    /// allocation across rounds.
+    ///
+    /// Written into a caller-owned buffer (cleared first), so per-deletion
+    /// NoN walks can reuse one allocation across rounds.
     pub fn neighbors_of_neighbors_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         for &u in self.neighbors(v) {
@@ -874,21 +868,6 @@ mod tests {
         g.add_edge(NodeId(0), v).unwrap();
         assert_eq!(g.live_node_count(), 2);
         g.validate().unwrap();
-    }
-
-    #[test]
-    fn neighbors_of_neighbors_excludes_self() {
-        let g = path(5);
-        // NoN of node 2 on a path: {0, 1, 3, 4}
-        assert_eq!(
-            g.neighbors_of_neighbors(NodeId(2)),
-            vec![NodeId(0), NodeId(1), NodeId(3), NodeId(4)]
-        );
-        // NoN of an endpoint
-        assert_eq!(
-            g.neighbors_of_neighbors(NodeId(0)),
-            vec![NodeId(1), NodeId(2)]
-        );
     }
 
     #[test]

@@ -122,12 +122,6 @@ impl Edge {
             self.lo
         }
     }
-
-    /// True if this is a self-loop (both endpoints equal).
-    #[inline]
-    pub fn is_loop(self) -> bool {
-        self.lo == self.hi
-    }
 }
 
 impl fmt::Debug for Edge {
@@ -168,8 +162,6 @@ mod tests {
         assert!(e.touches(NodeId(1)));
         assert!(e.touches(NodeId(2)));
         assert!(!e.touches(NodeId(3)));
-        assert!(!e.is_loop());
-        assert!(Edge::new(NodeId(5), NodeId(5)).is_loop());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Graph substrate for the self-healing network workspace: a dynamic
 //! undirected [`Graph`] with stable node ids and tombstoned deletion,
 //! frozen [`Csr`] snapshots for fast sweeps, traversal / component /
-//! shortest-path algorithms (serial and thread-parallel), deterministic
-//! and random graph generators, and simple serialization.
+//! shortest-path algorithms (serial and thread-parallel), and
+//! deterministic and random graph generators.
 //!
 //! Everything is written from scratch on the standard library plus `rand`
 //! (sampling); no external graph library is used.
@@ -35,12 +35,10 @@ pub mod forest;
 pub mod generators;
 mod graph;
 pub mod ids;
-pub mod io;
 pub mod parallel;
 pub mod paths;
 pub mod pool;
 pub mod properties;
-pub mod subgraph;
 pub mod traversal;
 
 pub use csr::{Csr, UNREACHABLE};

@@ -314,31 +314,6 @@ pub fn parallel_apsp(csr: &Csr, threads: usize) -> Vec<Vec<u32>> {
     out
 }
 
-/// Sum of all finite pairwise distances and the count of connected ordered
-/// pairs, computed in parallel without materializing the APSP matrix.
-///
-/// Useful for average-path-length style metrics on large graphs.
-pub fn parallel_distance_sum(csr: &Csr, threads: usize) -> (u64, u64) {
-    parallel_map_reduce(
-        csr.len(),
-        threads,
-        (0u64, 0u64),
-        |src| {
-            let dist = csr.bfs(src);
-            let mut sum = 0u64;
-            let mut cnt = 0u64;
-            for (j, &d) in dist.iter().enumerate() {
-                if j != src && d != crate::csr::UNREACHABLE {
-                    sum += d as u64;
-                    cnt += 1;
-                }
-            }
-            (sum, cnt)
-        },
-        |a, b| (a.0 + b.0, a.1 + b.1),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,15 +476,5 @@ mod tests {
             .expect("a helper panic must not hang the round");
         assert_eq!(message.as_deref(), Some("item failed on a helper"));
         assert_eq!(second, 4, "the next round folds every item");
-    }
-
-    #[test]
-    fn distance_sum_on_ring() {
-        // On a ring of 6, each node sees distances 1,2,3,2,1 (sum 9).
-        let g = ring(6);
-        let csr = Csr::from_graph(&g);
-        let (sum, cnt) = parallel_distance_sum(&csr, 3);
-        assert_eq!(sum, 6 * 9);
-        assert_eq!(cnt, 30);
     }
 }

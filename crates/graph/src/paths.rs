@@ -39,37 +39,6 @@ pub fn distance(g: &Graph, u: NodeId, v: NodeId) -> Option<u32> {
     }
 }
 
-/// One shortest path between `u` and `v` (inclusive), or `None`.
-///
-/// Ties are broken toward lower node ids, so the returned path is
-/// deterministic.
-pub fn shortest_path(g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-    if !g.is_alive(u) || !g.is_alive(v) {
-        return None;
-    }
-    let dist = bfs_distances(g, u);
-    if dist[v.index()] == UNREACHABLE {
-        return None;
-    }
-    let mut path = vec![v];
-    let mut cur = v;
-    while cur != u {
-        let d = dist[cur.index()];
-        let prev = g
-            .neighbors(cur)
-            .iter()
-            .copied()
-            .find(|&w| dist[w.index()] + 1 == d)
-            // panic-ok: any node at BFS distance `d > 0` was discovered
-            // through a neighbor at distance `d - 1`.
-            .expect("BFS predecessor must exist");
-        path.push(prev);
-        cur = prev;
-    }
-    path.reverse();
-    Some(path)
-}
-
 /// All-pairs shortest path matrix over the dense indices of a CSR
 /// snapshot: `result[i][j]` is the hop distance from dense `i` to dense `j`.
 ///
@@ -142,26 +111,6 @@ mod tests {
         g.remove_node(NodeId(2)).unwrap();
         assert_eq!(distance(&g, NodeId(0), NodeId(4)), None);
         assert_eq!(distance(&g, NodeId(2), NodeId(0)), None);
-    }
-
-    #[test]
-    fn shortest_path_endpoints_and_length() {
-        let g = path_graph(4);
-        let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        let p0 = shortest_path(&g, NodeId(1), NodeId(1)).unwrap();
-        assert_eq!(p0, vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn shortest_path_is_shortest_on_cycle() {
-        let mut g = Graph::new(5);
-        for i in 0..5 {
-            g.add_edge(NodeId::from_index(i), NodeId::from_index((i + 1) % 5))
-                .unwrap();
-        }
-        let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p.len(), 3); // 0-4-3
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Whole-graph structural statistics (degree distribution & friends).
+//! Degree-distribution statistics of the live subgraph.
 
 use crate::graph::Graph;
 
@@ -53,83 +53,6 @@ pub fn degree_histogram(g: &Graph) -> Vec<usize> {
     hist
 }
 
-/// Edge density of the live subgraph: `2m / (n (n-1))`, or 0 for n < 2.
-pub fn density(g: &Graph) -> f64 {
-    let n = g.live_node_count();
-    if n < 2 {
-        0.0
-    } else {
-        2.0 * g.edge_count() as f64 / (n as f64 * (n as f64 - 1.0))
-    }
-}
-
-/// Local clustering coefficient of `v`: the fraction of `v`'s neighbor
-/// pairs that are themselves adjacent. 0 for degree < 2.
-pub fn local_clustering(g: &Graph, v: crate::ids::NodeId) -> f64 {
-    let nbrs = g.neighbors(v);
-    let d = nbrs.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut closed = 0usize;
-    for (i, &a) in nbrs.iter().enumerate() {
-        for &b in &nbrs[i + 1..] {
-            if g.has_edge(a, b) {
-                closed += 1;
-            }
-        }
-    }
-    2.0 * closed as f64 / (d * (d - 1)) as f64
-}
-
-/// Average local clustering coefficient over live nodes (Watts–Strogatz
-/// definition). 0 for an empty graph.
-pub fn average_clustering(g: &Graph) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for v in g.live_nodes() {
-        sum += local_clustering(g, v);
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
-/// Degree assortativity (Pearson correlation of degrees across edges).
-///
-/// Negative for hub-and-spoke graphs (high-degree nodes link to
-/// low-degree ones), near 0 for random graphs. `None` when the graph
-/// has no edges or zero degree variance.
-pub fn degree_assortativity(g: &Graph) -> Option<f64> {
-    let mut n = 0.0f64;
-    let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-    for e in g.edges() {
-        // Count each edge in both directions so the measure is symmetric.
-        let (a, b) = (g.degree(e.lo()) as f64, g.degree(e.hi()) as f64);
-        for (x, y) in [(a, b), (b, a)] {
-            n += 1.0;
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            syy += y * y;
-            sxy += x * y;
-        }
-    }
-    if n == 0.0 {
-        return None;
-    }
-    let cov = sxy / n - (sx / n) * (sy / n);
-    let vx = sxx / n - (sx / n) * (sx / n);
-    let vy = syy / n - (sy / n) * (sy / n);
-    if vx <= 1e-12 || vy <= 1e-12 {
-        return None;
-    }
-    Some(cov / (vx * vy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,83 +85,5 @@ mod tests {
             g.add_edge(NodeId(0), NodeId::from_index(i)).unwrap();
         }
         assert_eq!(degree_histogram(&g), vec![0, 3, 0, 1]);
-    }
-
-    #[test]
-    fn clustering_of_triangle_and_star() {
-        let mut tri = Graph::new(3);
-        tri.add_edge(NodeId(0), NodeId(1)).unwrap();
-        tri.add_edge(NodeId(1), NodeId(2)).unwrap();
-        tri.add_edge(NodeId(2), NodeId(0)).unwrap();
-        assert!((local_clustering(&tri, NodeId(0)) - 1.0).abs() < 1e-12);
-        assert!((average_clustering(&tri) - 1.0).abs() < 1e-12);
-
-        let mut star = Graph::new(4);
-        for i in 1..4 {
-            star.add_edge(NodeId(0), NodeId::from_index(i)).unwrap();
-        }
-        assert_eq!(local_clustering(&star, NodeId(0)), 0.0);
-        assert_eq!(local_clustering(&star, NodeId(1)), 0.0); // degree 1
-        assert_eq!(average_clustering(&star), 0.0);
-    }
-
-    #[test]
-    fn clustering_of_square_with_diagonal() {
-        // 0-1-2-3-0 plus diagonal 0-2: node 1 has neighbors {0,2} which
-        // are adjacent -> clustering 1; node 0 has {1,2,3} with closed
-        // pairs (1,2) and (2,3) of the three -> 2/3.
-        let mut g = Graph::new(4);
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)] {
-            g.add_edge(NodeId(a), NodeId(b)).unwrap();
-        }
-        assert!((local_clustering(&g, NodeId(1)) - 1.0).abs() < 1e-12);
-        assert!((local_clustering(&g, NodeId(0)) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn star_is_perfectly_disassortative() {
-        // Every edge joins degree 4 to degree 1 -> correlation exactly -1.
-        let mut star = Graph::new(5);
-        for i in 1..5 {
-            star.add_edge(NodeId(0), NodeId::from_index(i)).unwrap();
-        }
-        let r = degree_assortativity(&star).unwrap();
-        assert!((r + 1.0).abs() < 1e-12, "expected -1, got {r}");
-    }
-
-    #[test]
-    fn assortativity_of_mixed_graph_is_negative_for_hubs() {
-        // Star plus one extra spoke-spoke edge creates variance on both
-        // edge sides; hub mixing keeps it negative.
-        let mut g = Graph::new(6);
-        for i in 1..6 {
-            g.add_edge(NodeId(0), NodeId::from_index(i)).unwrap();
-        }
-        g.add_edge(NodeId(1), NodeId(2)).unwrap();
-        let r = degree_assortativity(&g).unwrap();
-        assert!(r < 0.0, "hub graph should be disassortative, got {r}");
-    }
-
-    #[test]
-    fn assortativity_none_without_edges_or_variance() {
-        assert!(degree_assortativity(&Graph::new(3)).is_none());
-        // Cycle: every degree is 2 -> zero variance.
-        let mut cyc = Graph::new(4);
-        for i in 0..4 {
-            cyc.add_edge(NodeId::from_index(i), NodeId::from_index((i + 1) % 4))
-                .unwrap();
-        }
-        assert!(degree_assortativity(&cyc).is_none());
-    }
-
-    #[test]
-    fn density_bounds() {
-        let mut g = Graph::new(3);
-        assert_eq!(density(&g), 0.0);
-        g.add_edge(NodeId(0), NodeId(1)).unwrap();
-        g.add_edge(NodeId(1), NodeId(2)).unwrap();
-        g.add_edge(NodeId(2), NodeId(0)).unwrap();
-        assert!((density(&g) - 1.0).abs() < 1e-12);
-        assert_eq!(density(&Graph::new(1)), 0.0);
     }
 }

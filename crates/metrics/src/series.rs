@@ -21,19 +21,6 @@ pub struct SeriesPoint {
 }
 
 impl SeriesPoint {
-    /// A single observation at `x` (no spread): the shape observer-fed
-    /// per-event timelines use, where each event contributes one value.
-    pub fn single(x: f64, value: f64) -> Self {
-        SeriesPoint {
-            x,
-            mean: value,
-            std_dev: 0.0,
-            min: value,
-            max: value,
-            trials: 1,
-        }
-    }
-
     /// Aggregate raw per-trial observations at `x`.
     pub fn from_trials(x: f64, values: &[f64]) -> Self {
         let Summary {
@@ -80,14 +67,6 @@ impl Series {
     /// y-mean at a given x, if present.
     pub fn mean_at(&self, x: f64) -> Option<f64> {
         self.points.iter().find(|p| p.x == x).map(|p| p.mean)
-    }
-
-    /// Largest mean over the curve.
-    pub fn max_mean(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.mean)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Whether this curve lies (weakly) below `other` at every shared x —
@@ -161,7 +140,6 @@ mod tests {
         assert_eq!(s.mean_at(10.0), Some(1.0));
         assert_eq!(s.mean_at(20.0), Some(3.0));
         assert_eq!(s.mean_at(30.0), None);
-        assert_eq!(s.max_mean(), 3.0);
     }
 
     #[test]

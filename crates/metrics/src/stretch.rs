@@ -39,15 +39,6 @@ impl StretchBaseline {
         StretchBaseline { csr, dist }
     }
 
-    /// Original-graph distance between two original node ids.
-    pub fn original_distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        let (du, dv) = (self.csr.dense_index(u)?, self.csr.dense_index(v)?);
-        match self.dist[du][dv] {
-            UNREACHABLE => None,
-            d => Some(d),
-        }
-    }
-
     /// Evaluate the stretch of `healed` (a later state of the same node
     /// universe) using `threads` workers.
     ///
@@ -175,14 +166,6 @@ mod tests {
         let mut healed = g.clone();
         healed.remove_node(NodeId(0)).unwrap();
         assert!(base.stretch_of(&healed, 1).is_none());
-    }
-
-    #[test]
-    fn original_distance_accessor() {
-        let g = path_graph(5);
-        let base = StretchBaseline::new(&g, 1);
-        assert_eq!(base.original_distance(NodeId(0), NodeId(4)), Some(4));
-        assert_eq!(base.original_distance(NodeId(2), NodeId(2)), Some(0));
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl<P: Protocol> Simulator<P> {
         self.now
     }
 
-    /// Messages currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Inject a message from outside the protocol (e.g. to seed a flood).
     pub fn inject(&mut self, from: u32, to: u32, msg: P::Msg) {
         self.metrics.record_sent(from);

@@ -63,11 +63,6 @@ impl<M> EventQueue<M> {
         self.heap.pop().map(|e| e.0)
     }
 
-    /// Timestamp of the earliest pending message.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.deliver_at)
-    }
-
     /// Number of in-flight messages.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -121,11 +116,9 @@ mod tests {
     fn bookkeeping() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(0, 1, SimTime(2), ());
         q.push(0, 1, SimTime(1), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
         assert_eq!(q.total_sent(), 2);
         q.pop();
         q.pop();

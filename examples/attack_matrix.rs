@@ -9,7 +9,7 @@
 //! cargo run --release --example attack_matrix [n]
 //! ```
 
-use selfheal::experiments::config::{AttackKind, HealerKind};
+use selfheal::core::spec::{AdversarySpec, HealerSpec};
 use selfheal::experiments::runner::run_trial;
 use selfheal::metrics::Table;
 
@@ -20,12 +20,12 @@ fn main() {
         .unwrap_or(256);
     let seed = 77;
     let attacks = [
-        AttackKind::MaxNode,
-        AttackKind::NeighborOfMax,
-        AttackKind::Random,
-        AttackKind::MinDegree,
+        AdversarySpec::MaxNode,
+        AdversarySpec::NeighborOfMax,
+        AdversarySpec::Random,
+        AdversarySpec::MinDegree,
     ];
-    let healers = HealerKind::figure_set();
+    let healers = HealerSpec::figure_set();
 
     println!("attack x healer matrix on BA({n}, 3), full kill-sweeps, seed {seed}\n");
 

@@ -5,8 +5,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::scenario::{AuditLevel, ScenarioEngine};
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_core::state::HealingNetwork;
-use selfheal_experiments::config::{AttackKind, HealerKind};
 use selfheal_graph::generators;
 use selfheal_graph::Graph;
 
@@ -28,13 +28,13 @@ fn topologies(seed: u64) -> Vec<(&'static str, Graph)> {
 #[test]
 fn every_healer_and_attack_on_every_topology() {
     let attacks = [
-        AttackKind::MaxNode,
-        AttackKind::NeighborOfMax,
-        AttackKind::Random,
-        AttackKind::MinDegree,
+        AdversarySpec::MaxNode,
+        AdversarySpec::NeighborOfMax,
+        AdversarySpec::Random,
+        AdversarySpec::MinDegree,
     ];
     for (name, g) in topologies(42) {
-        for healer in HealerKind::figure_set() {
+        for healer in HealerSpec::figure_set() {
             for attack in attacks {
                 let net = HealingNetwork::new(g.clone(), 42);
                 let mut engine = ScenarioEngine::new(net, healer.build(), attack.build(7))
@@ -68,9 +68,12 @@ fn full_audit_including_rem_potential_on_small_graphs() {
             continue;
         }
         let net = HealingNetwork::new(g, 7);
-        let mut engine =
-            ScenarioEngine::new(net, HealerKind::Dash.build(), AttackKind::MaxNode.build(1))
-                .with_audit(AuditLevel::Full);
+        let mut engine = ScenarioEngine::new(
+            net,
+            HealerSpec::Dash.build(),
+            AdversarySpec::MaxNode.build(1),
+        )
+        .with_audit(AuditLevel::Full);
         let report = engine.run_to_empty();
         assert!(
             report.violations.is_empty(),
@@ -86,8 +89,8 @@ fn dash_rem_potential_on_ba_graph() {
     let net = HealingNetwork::new(g, 5);
     let mut engine = ScenarioEngine::new(
         net,
-        HealerKind::Dash.build(),
-        AttackKind::NeighborOfMax.build(5),
+        HealerSpec::Dash.build(),
+        AdversarySpec::NeighborOfMax.build(5),
     )
     .with_audit(AuditLevel::Full);
     let report = engine.run_to_empty();
@@ -99,8 +102,11 @@ fn isolated_and_tiny_graphs_are_handled() {
     for n in 1..=4 {
         let g = Graph::new(n); // all isolated
         let net = HealingNetwork::new(g, 1);
-        let mut engine =
-            ScenarioEngine::new(net, HealerKind::Dash.build(), AttackKind::Random.build(3));
+        let mut engine = ScenarioEngine::new(
+            net,
+            HealerSpec::Dash.build(),
+            AdversarySpec::Random.build(3),
+        );
         let report = engine.run_to_empty();
         assert_eq!(report.rounds, n as u64);
         assert_eq!(report.max_delta_ever, 0);
@@ -112,8 +118,11 @@ fn sdash_surrogates_at_least_once_on_big_star_sweep() {
     // A star forces an early binary tree; later deletions leave RT sets
     // with large delta spread, where surrogation should fire.
     let net = HealingNetwork::new(generators::star_graph(64), 9);
-    let mut engine =
-        ScenarioEngine::new(net, HealerKind::Sdash.build(), AttackKind::MaxNode.build(1));
+    let mut engine = ScenarioEngine::new(
+        net,
+        HealerSpec::Sdash.build(),
+        AdversarySpec::MaxNode.build(1),
+    );
     let mut surrogated = 0;
     while let Some(rec) = engine.step() {
         if rec.surrogate.is_some() {
@@ -134,8 +143,8 @@ fn healing_edges_are_local_to_deleted_neighborhood() {
     let net = HealingNetwork::new(g, 21);
     let mut engine = ScenarioEngine::new(
         net,
-        HealerKind::Dash.build(),
-        AttackKind::NeighborOfMax.build(2),
+        HealerSpec::Dash.build(),
+        AdversarySpec::NeighborOfMax.build(2),
     );
     // Drive manually so we can see each round's context.
     loop {

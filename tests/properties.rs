@@ -6,9 +6,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::invariants;
 use selfheal_core::scenario::{AuditLevel, ScenarioEngine};
+use selfheal_core::spec::{AdversarySpec, HealerSpec};
 use selfheal_core::state::HealingNetwork;
 use selfheal_core::strategy::Healer;
-use selfheal_experiments::config::{AttackKind, HealerKind};
 use selfheal_graph::components::{connected_components, UnionFind};
 use selfheal_graph::forest::is_forest;
 use selfheal_graph::generators;
@@ -29,16 +29,16 @@ proptest! {
         attack_idx in 0usize..4,
     ) {
         let healers = [
-            HealerKind::Dash,
-            HealerKind::Sdash,
-            HealerKind::BinaryTreeHeal,
-            HealerKind::LineHeal,
+            HealerSpec::Dash,
+            HealerSpec::Sdash,
+            HealerSpec::BinaryTreeHeal,
+            HealerSpec::LineHeal,
         ];
         let attacks = [
-            AttackKind::MaxNode,
-            AttackKind::NeighborOfMax,
-            AttackKind::Random,
-            AttackKind::MinDegree,
+            AdversarySpec::MaxNode,
+            AdversarySpec::NeighborOfMax,
+            AdversarySpec::Random,
+            AdversarySpec::MinDegree,
         ];
         let g = generators::barabasi_albert(n, 2, &mut StdRng::seed_from_u64(graph_seed));
         let net = HealingNetwork::new(g, graph_seed);
@@ -262,18 +262,6 @@ proptest! {
             prop_assert_eq!(t.level(p) + 1, t.level(v));
             prop_assert!(t.graph.has_edge(p, v));
         }
-    }
-
-    /// Largest-component extraction returns a connected subgraph of
-    /// maximum size.
-    #[test]
-    fn largest_component_is_maximal(n in 2usize..40, p in 0.0f64..0.25, seed in 0u64..300) {
-        let g = generators::erdos_renyi_gnp(n, p, &mut StdRng::seed_from_u64(seed));
-        let sub = selfheal_graph::subgraph::largest_component_subgraph(&g);
-        prop_assert!(selfheal_graph::components::is_connected(&sub.graph));
-        let cc = connected_components(&g);
-        let biggest = cc.sizes().into_iter().max().unwrap_or(0);
-        prop_assert_eq!(sub.graph.live_node_count(), biggest);
     }
 
     /// The pooled-adjacency `Graph` is observationally identical to a
