@@ -117,13 +117,17 @@ sweep-check:
 ## spec-vs-hand-built equivalence, curated-schedule parity), then parse
 ## and fully run every checked-in specs/*.scn through the CLI — any
 ## parse error, invalid configuration, theorem violation or parity
-## divergence exits nonzero and fails the gate.
+## divergence exits nonzero and fails the gate — and require the
+## concatenated run blocks to match the checked-in golden byte for byte.
+## If a change is intentional, regenerate with `for f in specs/*.scn; do
+## run-experiments run --spec $f; done > goldens/spec_runs.txt` and note
+## it in the commit.
 spec-check:
 	$(CARGO) test -q --test spec
 	@set -e; for f in specs/*.scn; do \
-	  echo "== $$f"; \
 	  $(CARGO) run -q --release -p selfheal-experiments -- run --spec $$f; \
-	done
+	done > target/spec-runs.txt
+	diff -u goldens/spec_runs.txt target/spec-runs.txt
 
 ## Family-ranking gate (E12): run the full healer registry × the
 ## adversary library at 1, 2 and 8 worker threads and require all three

@@ -30,12 +30,6 @@ impl Healer for Dash {
         "dash"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let mut out = HealOutcome::default();
-        self.heal_into(net, ctx, &mut out);
-        out
-    }
-
     /// The allocation-free hot path: every buffer (tag scratch, δ order,
     /// and the outcome's own vectors) is reused across rounds, so a
     /// steady-state heal performs zero heap allocations.

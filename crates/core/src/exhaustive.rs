@@ -41,11 +41,13 @@
 //! `n = 1..7` ([`CONNECTED_COUNTS`]) is asserted as an oracle on every
 //! run, so an enumeration bug can never silently shrink the universe.
 
-use crate::invariants::{FamilyAuditor, TheoremAuditor, TheoremBounds};
-use crate::scenario::{DegreeBatches, NetworkEvent, Observer, ScenarioEngine, ScriptedEvents};
+use crate::invariants::{FamilyAuditor, Findings, TheoremAuditor, TheoremBounds};
+use crate::scenario::{
+    DegreeBatches, EventSource, NetworkEvent, Observer, ScenarioEngine, ScriptedEvents,
+};
 use crate::spec::{HealerSpec, SpecError};
 use crate::state::HealingNetwork;
-use selfheal_graph::parallel::{default_threads, parallel_fold};
+use selfheal_graph::parallel::{default_threads, parallel_map};
 use selfheal_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 
@@ -56,10 +58,6 @@ pub const MAX_NODES: usize = 7;
 /// Number of connected graphs on `n = 1..=7` unlabeled nodes (OEIS
 /// A001349) — the oracle the enumeration is checked against.
 pub const CONNECTED_COUNTS: [u64; MAX_NODES] = [1, 1, 2, 6, 21, 112, 853];
-
-/// Findings kept verbatim in a [`UniverseReport`]; the full count is
-/// always exact in `violation_count`.
-const MAX_KEPT: usize = 16;
 
 /// A connected graph on `n ≤ 7` nodes in canonical form: the edge
 /// `{i, j}` (`i < j`) is present iff bit `pair_bit(i, j)` of `mask` is
@@ -229,8 +227,7 @@ impl Default for UniverseConfig {
     }
 }
 
-/// Outcome of an exhaustive proving run. Counts are exact; at most
-/// `MAX_KEPT` violation messages are kept verbatim.
+/// Outcome of an exhaustive proving run. Counts are exact.
 #[derive(Clone, Debug, Default)]
 pub struct UniverseReport {
     /// Distinct canonical connected graphs exhausted (all `n ≤ max_n`).
@@ -242,13 +239,9 @@ pub struct UniverseReport {
     pub order_runs: u64,
     /// Greedy batch-partition sweeps executed.
     pub batch_runs: u64,
-    /// Exact number of bound violations across all runs.
-    pub violation_count: u64,
-    /// Up to `MAX_KEPT` violation messages, each naming graph, order
-    /// and healer for replay.
-    pub violations: Vec<String>,
-    /// Whether violation messages were dropped after the cap.
-    pub truncated: bool,
+    /// Bound violations across all runs, each naming graph, order and
+    /// healer for replay; kept in work-item order (graph, then healer).
+    pub findings: Findings,
 }
 
 impl UniverseReport {
@@ -259,32 +252,28 @@ impl UniverseReport {
 
     /// Whether every audited run satisfied every checked bound.
     pub fn is_clean(&self) -> bool {
-        self.violation_count == 0
-    }
-
-    fn absorb(&mut self, finding: String) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_KEPT {
-            self.violations.push(finding);
-        } else {
-            self.truncated = true;
-        }
+        self.findings.is_empty()
     }
 
     fn merge(mut self, other: UniverseReport) -> UniverseReport {
         self.order_runs += other.order_runs;
         self.batch_runs += other.batch_runs;
-        self.violation_count += other.violation_count;
-        for v in other.violations {
-            if self.violations.len() < MAX_KEPT {
-                self.violations.push(v);
-            } else {
-                self.truncated = true;
-            }
-        }
-        self.truncated |= other.truncated;
+        self.findings.append(other.findings);
         self
     }
+}
+
+/// Audit the work items `0..n_items` on `threads` workers and merge
+/// their reports in item order, so the kept findings (which ones, and in
+/// what order) do not depend on how work stealing spread the items.
+fn audit_items(
+    n_items: usize,
+    threads: usize,
+    item: impl Fn(usize) -> UniverseReport + Sync,
+) -> UniverseReport {
+    parallel_map(n_items, threads, item)
+        .into_iter()
+        .fold(UniverseReport::default(), UniverseReport::merge)
 }
 
 /// The per-healer audit profile: (expect G' forest, check connectivity,
@@ -367,58 +356,42 @@ fn audit_run(
             Observer::on_event(f, net, rec);
         }
     };
-    let scenario_report = match (order, batch_k) {
-        (Some(order), _) => {
-            let events: Vec<NetworkEvent> = order
+    let source: Box<dyn EventSource> = match (order, batch_k) {
+        (Some(order), _) => Box::new(ScriptedEvents::new(
+            order
                 .iter()
-                .map(|&v| NetworkEvent::Delete(NodeId(v as u32)))
-                .collect();
-            let mut engine = ScenarioEngine::new(net, healer.build(), ScriptedEvents::new(events));
-            let report = engine.run_to_empty_with(&mut observer);
-            auditor.finish(&engine.net, &report);
-            report
-        }
-        (None, Some(k)) => {
-            let mut engine = ScenarioEngine::new(net, healer.build(), DegreeBatches::new(k));
-            let report = engine.run_to_empty_with(&mut observer);
-            auditor.finish(&engine.net, &report);
-            report
-        }
+                .map(|&v| NetworkEvent::Delete(NodeId(v as u32))),
+        )),
+        (None, Some(k)) => Box::new(DegreeBatches::new(k)),
         (None, None) => unreachable!("a run is either an order sweep or a batch sweep"),
     };
-    let _ = scenario_report;
-    let family_violations = family.map(|f| (f.violations, f.truncated));
-    if !auditor.ok()
-        || family_violations
-            .as_ref()
-            .is_some_and(|(v, _)| !v.is_empty())
-    {
+    let mut engine = ScenarioEngine::new(net, healer.build(), source);
+    let run = engine.run_to_empty_with(&mut observer);
+    auditor.finish(&engine.net, &run);
+    let mut findings = auditor.findings;
+    if let Some(family) = family {
+        findings.append(family.findings);
+    }
+    if !findings.is_empty() {
         let shape = match (order, batch_k) {
             (Some(order), _) => format!("order={order:?}"),
             (_, Some(k)) => format!("batch-k={k}"),
             _ => unreachable!(),
         };
-        let family_findings = family_violations
-            .as_ref()
-            .map(|(v, _)| v.as_slice())
-            .unwrap_or(&[]);
-        for finding in auditor.violations.iter().chain(family_findings) {
-            report.absorb(format!(
+        report.findings.append(findings.map(|finding| {
+            format!(
                 "n={} graph=0x{:x} healer={} {shape}: {finding}",
                 graph.n,
                 graph.mask,
                 healer.name()
-            ));
-        }
-        if auditor.truncated || family_violations.is_some_and(|(_, t)| t) {
-            report.truncated = true;
-        }
+            )
+        }));
     }
 }
 
 /// Run the exhaustive prover: every connected graph up to `cfg.max_n`
 /// nodes × every deletion order (plus batch partitions) × every
-/// requested healer, fanned across threads with [`parallel_fold`].
+/// requested healer, fanned across threads with [`parallel_map`].
 ///
 /// # Errors
 /// Rejects an empty healer list, `max_n` outside `2..=`[`MAX_NODES`],
@@ -449,7 +422,7 @@ pub fn run_universe(cfg: &UniverseConfig) -> Result<UniverseReport, SpecError> {
     }
     // One work item per (graph, healer): the per-item cost is dominated
     // by the n! order sweeps, so this granularity load-balances well
-    // under parallel_fold's work stealing.
+    // under `parallel_map`'s work stealing.
     let graphs: Vec<SmallGraph> = levels.into_iter().flatten().collect();
     let items: Vec<(SmallGraph, HealerSpec)> = graphs
         .iter()
@@ -461,26 +434,21 @@ pub fn run_universe(cfg: &UniverseConfig) -> Result<UniverseReport, SpecError> {
     } else {
         cfg.threads
     };
-    let merged = parallel_fold(
-        items.len(),
-        threads,
-        UniverseReport::default,
-        |mut acc: UniverseReport, idx| {
-            let (graph, healer) = items[idx];
-            for order in &perms_by_n[graph.n] {
-                audit_run(&graph, healer, cfg.seed, Some(order), None, &mut acc);
-                acc.order_runs += 1;
+    let merged = audit_items(items.len(), threads, |idx| {
+        let mut acc = UniverseReport::default();
+        let (graph, healer) = items[idx];
+        for order in &perms_by_n[graph.n] {
+            audit_run(&graph, healer, cfg.seed, Some(order), None, &mut acc);
+            acc.order_runs += 1;
+        }
+        if cfg.batch_partitions {
+            for k in [2usize, 3] {
+                audit_run(&graph, healer, cfg.seed, None, Some(k), &mut acc);
+                acc.batch_runs += 1;
             }
-            if cfg.batch_partitions {
-                for k in [2usize, 3] {
-                    audit_run(&graph, healer, cfg.seed, None, Some(k), &mut acc);
-                    acc.batch_runs += 1;
-                }
-            }
-            acc
-        },
-        UniverseReport::merge,
-    );
+        }
+        acc
+    });
     Ok(UniverseReport {
         graphs: graphs.len() as u64,
         healers: cfg.healers.len() as u64,
@@ -548,7 +516,7 @@ mod tests {
         // Σ n! over graphs: 1·1! + 1·2! + 2·3! + 6·4! = 159 per healer.
         assert_eq!(report.order_runs, 159 * 8);
         assert_eq!(report.batch_runs, 10 * 2 * 8);
-        assert!(report.is_clean(), "{:#?}", report.violations);
+        assert!(report.is_clean(), "{:#?}", report.findings);
     }
 
     /// Locked documentation (the PR 6 `AuditSpec::Exhaustive` precedent)
@@ -598,16 +566,20 @@ mod tests {
                 ScriptedEvents::new(events.clone()),
             );
             engine.run_events_with(K as u64, &mut obs);
-            assert!(family.ok(), "seed {seed}: {:?}", family.violations);
+            assert!(family.ok(), "seed {seed}: {:?}", family.findings);
             // Everything *except* the δ bound must still hold: the
             // family keeps connectivity, the G' forest and the weight
             // ledger.
             assert!(
-                theorem.violations.iter().all(|v| v.contains("theorem 1.1")),
+                theorem
+                    .findings
+                    .kept()
+                    .iter()
+                    .all(|v| v.contains("theorem 1.1")),
                 "seed {seed}: {:?}",
-                theorem.violations
+                theorem.findings
             );
-            lemma6_broken |= !theorem.violations.is_empty();
+            lemma6_broken |= !theorem.ok();
         }
         assert!(
             lemma6_broken,
@@ -626,31 +598,43 @@ mod tests {
             !crate::invariants::forest_ok(&engine.net),
             "a 4-member ring heal must cycle G'"
         );
-        assert!(family.ok(), "{:?}", family.violations);
+        assert!(family.ok(), "{:?}", family.findings);
     }
 
+    /// The prover can fail, and which findings it keeps does not depend
+    /// on the thread count: item `i` audits `no-heal` for connectivity
+    /// over every deletion order of the `i`-th 5-node graph, so items
+    /// differ in cost and most of them find disconnections.
     #[test]
-    fn no_heal_violates_when_audited_at_full_strength() {
-        // Sanity that the prover can fail: audit no-heal with the
-        // dash profile by requesting connectivity on a star deletion.
-        let star = SmallGraph {
-            n: 4,
-            mask: (1 << pair_bit(0, 1)) | (1 << pair_bit(0, 2)) | (1 << pair_bit(0, 3)),
+    fn kept_findings_do_not_depend_on_the_thread_count() {
+        let graphs = connected_graphs(5);
+        let fold = |threads| {
+            audit_items(graphs.len(), threads, |i| {
+                let mut report = UniverseReport::default();
+                for order in permutations(5) {
+                    let mut auditor = TheoremAuditor::new(false);
+                    let events = order
+                        .iter()
+                        .map(|&v| NetworkEvent::Delete(NodeId(v as u32)));
+                    let net = HealingNetwork::new(graphs[i].to_graph(), 1);
+                    ScenarioEngine::new(
+                        net,
+                        HealerSpec::NoHeal.build(),
+                        ScriptedEvents::new(events),
+                    )
+                    .run_to_empty_with(&mut auditor);
+                    let label = |f| format!("graph {i} {order:?}: {f}");
+                    report.findings.append(auditor.findings.map(label));
+                }
+                report
+            })
         };
-        let mut report = UniverseReport::default();
-        let mut auditor = TheoremAuditor::new(false).with_connectivity_check(true);
-        let net = HealingNetwork::new(star.to_graph(), 1);
-        let mut engine = ScenarioEngine::new(
-            net,
-            HealerSpec::NoHeal.build(),
-            ScriptedEvents::new(vec![NetworkEvent::Delete(NodeId(0))]),
-        );
-        engine.run_to_empty_with(&mut auditor);
-        assert!(!auditor.ok(), "deleting a star hub must disconnect no-heal");
-        for v in auditor.violations {
-            report.absorb(v);
+        let serial = fold(1);
+        assert!(!serial.is_clean() && serial.findings.truncated());
+        assert!(serial.findings.kept()[0].starts_with("graph 0 "));
+        for _ in 0..4 {
+            assert_eq!(fold(4).findings, serial.findings);
         }
-        assert!(!report.is_clean());
     }
 
     #[test]

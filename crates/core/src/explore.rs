@@ -41,6 +41,7 @@
 
 use crate::distributed_runner::DistributedScenarioRunner;
 use crate::exhaustive::permutations;
+use crate::invariants::Findings;
 use crate::scenario::{sanitize_batch, NetworkEvent, ScenarioEngine, ScriptedEvents};
 use crate::spec::{parity_event, parity_final, HealerSpec, SpecError};
 use crate::state::HealingNetwork;
@@ -68,9 +69,6 @@ impl Default for ExplorerConfig {
     }
 }
 
-/// Findings kept verbatim; the full count stays exact.
-const MAX_KEPT: usize = 16;
-
 /// Outcome of a schedule exploration.
 #[derive(Clone, Debug, Default)]
 pub struct ExplorerReport {
@@ -86,13 +84,9 @@ pub struct ExplorerReport {
     /// Parity runs actually executed (classes, doubled when equivalence
     /// replays are on).
     pub checked: u64,
-    /// Exact number of parity violations found.
-    pub violation_count: u64,
-    /// Up to `MAX_KEPT` violation messages, each naming the victim
-    /// orders that produced it.
-    pub violations: Vec<String>,
-    /// Whether violation messages were dropped after the cap.
-    pub truncated: bool,
+    /// Parity violations found, each naming the victim orders that
+    /// produced it.
+    pub findings: Findings,
 }
 
 impl ExplorerReport {
@@ -114,16 +108,7 @@ impl ExplorerReport {
 
     /// Whether parity held under every explored schedule.
     pub fn is_clean(&self) -> bool {
-        self.violation_count == 0
-    }
-
-    fn absorb(&mut self, finding: String) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_KEPT {
-            self.violations.push(finding);
-        } else {
-            self.truncated = true;
-        }
+        self.findings.is_empty()
     }
 }
 
@@ -333,7 +318,9 @@ pub fn explore_events(
             );
             report.checked += 1;
             if let Err(e) = outcome {
-                report.absorb(format!("orders {label:?} ({representative:?}): {e}"));
+                report
+                    .findings
+                    .push(format!("orders {label:?} ({representative:?}): {e}"));
             }
         }
         // Advance the odometer.
@@ -426,7 +413,7 @@ mod tests {
             assert_eq!(report.checked, 2 * report.classes);
             assert!(report.interleavings > report.classes as u128);
             assert!(report.prune_ratio() > 0.9);
-            assert!(report.is_clean(), "{healer}: {:#?}", report.violations);
+            assert!(report.is_clean(), "{healer}: {:#?}", report.findings);
         }
     }
 

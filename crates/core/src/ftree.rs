@@ -69,12 +69,6 @@ impl Healer for ForgivingTree {
         "ftree"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let mut out = HealOutcome::default();
-        self.heal_into(net, ctx, &mut out);
-        out
-    }
-
     /// Allocation-free hot path, mirroring [`Dash`](crate::dash::Dash):
     /// scratch buffers and the outcome's vectors are reused across
     /// rounds.

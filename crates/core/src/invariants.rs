@@ -16,7 +16,9 @@
 //! the *whole* of Theorem 1 (including the per-node ID-change, message
 //! and amortized latency bounds that previously lived only in the
 //! integration tests) after every event of a run, so a sweep over thousands of seeds can
-//! report the exact seed and event of any bound violation.
+//! report the exact seed and event of any bound violation. The engine
+//! runs the first at `AuditLevel::Cheap`/`Full` and the second at
+//! `AuditLevel::Theorems`. Auditors collect into [`Findings`].
 
 use crate::scenario::{EventKind, EventRecord, Observer, ScenarioReport};
 use crate::state::HealingNetwork;
@@ -121,25 +123,12 @@ pub fn weight_conservation_ok(net: &HealingNetwork) -> bool {
     live + net.weight_lost() == net.total_created() as u64
 }
 
-/// Outcome of running every check at once.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct InvariantReport {
-    /// Human-readable descriptions of each violated invariant.
-    pub violations: Vec<String>,
-}
-
-impl InvariantReport {
-    /// Whether all checked invariants held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Run all checks applicable to the given strategy.
+/// Run all checks applicable to the given strategy and describe each
+/// violated invariant (empty when all held).
 ///
 /// `expect_forest` should be false for GraphHeal (which deliberately
 /// allows cycles in `G'`); `check_rem` enables the O(n²) potential check.
-pub fn check_all(net: &HealingNetwork, expect_forest: bool, check_rem: bool) -> InvariantReport {
+pub fn check_all(net: &HealingNetwork, expect_forest: bool, check_rem: bool) -> Vec<String> {
     let mut violations = Vec::new();
     if !connectivity_ok(net) {
         violations.push("G is disconnected".to_string());
@@ -160,7 +149,7 @@ pub fn check_all(net: &HealingNetwork, expect_forest: bool, check_rem: bool) -> 
     if check_rem && !rem_potential_ok(net) {
         violations.push("rem potential below 2^(delta/2) or above n".to_string());
     }
-    InvariantReport { violations }
+    violations
 }
 
 /// The numeric constants of Theorem 1's four bullets, expressed as
@@ -215,10 +204,70 @@ impl Default for TheoremBounds {
     }
 }
 
-/// Cap on collected violations per auditor: a broken invariant usually
-/// re-fires every subsequent event, and the first few findings (with
-/// their event numbers) are what a replay needs.
-const MAX_VIOLATIONS: usize = 16;
+/// Findings a [`Findings`] list keeps verbatim: a broken invariant
+/// usually re-fires every subsequent event, and the first few findings
+/// (with their event numbers) are what a replay needs.
+pub const MAX_FINDINGS: usize = 16;
+
+/// A bounded findings list: the first [`MAX_FINDINGS`] findings kept
+/// verbatim, every finding counted. The auditors, the exhaustive prover
+/// and the schedule explorer all collect through it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Findings {
+    kept: Vec<String>,
+    count: u64,
+}
+
+impl Findings {
+    /// Record one finding (kept while there is room under the cap).
+    pub fn push(&mut self, finding: String) {
+        self.count += 1;
+        if self.kept.len() < MAX_FINDINGS {
+            self.kept.push(finding);
+        }
+    }
+
+    /// Record `other`'s findings after this list's own.
+    pub fn append(&mut self, other: Findings) {
+        self.count += other.count;
+        let room = MAX_FINDINGS - self.kept.len();
+        self.kept.extend(other.kept.into_iter().take(room));
+    }
+
+    /// The same findings, each kept one rewritten by `f`.
+    #[must_use]
+    pub fn map(self, f: impl FnMut(String) -> String) -> Findings {
+        Findings {
+            kept: self.kept.into_iter().map(f).collect(),
+            count: self.count,
+        }
+    }
+
+    /// The kept findings, in the order they were recorded.
+    pub fn kept(&self) -> &[String] {
+        &self.kept
+    }
+
+    /// Every finding recorded, kept or not.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Findings recorded past the cap.
+    pub fn dropped(&self) -> u64 {
+        self.count - self.kept.len() as u64
+    }
+
+    /// Whether findings were recorded past the cap.
+    pub fn truncated(&self) -> bool {
+        self.dropped() > 0
+    }
+
+    /// Whether nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
 
 /// Theorem 1 as an [`Observer`]: every bound of the paper's headline
 /// theorem, enforced after every event of a scenario run.
@@ -247,11 +296,8 @@ pub struct TheoremAuditor {
     /// exhaustive prover audits for weight conservation only) opt out via
     /// [`with_connectivity_check`](Self::with_connectivity_check).
     check_connectivity: bool,
-    /// Violations found, prefixed with the event number (capped at
-    /// `MAX_VIOLATIONS`; `truncated` records overflow).
-    pub violations: Vec<String>,
-    /// Whether findings were dropped after the cap.
-    pub truncated: bool,
+    /// Violations found, each prefixed with its event number.
+    pub findings: Findings,
 }
 
 impl TheoremAuditor {
@@ -265,8 +311,7 @@ impl TheoremAuditor {
             forest_waived: false,
             check_rem: false,
             check_connectivity: true,
-            violations: Vec::new(),
-            truncated: false,
+            findings: Findings::default(),
         }
     }
 
@@ -292,15 +337,11 @@ impl TheoremAuditor {
 
     /// Whether every checked bound held so far.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+        self.findings.is_empty()
     }
 
     fn record(&mut self, label: &str, finding: String) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(format!("{label}: {finding}"));
-        } else {
-            self.truncated = true;
-        }
+        self.findings.push(format!("{label}: {finding}"));
     }
 
     /// End-of-run checks: Theorem 1 bullet 4 (amortized ID-propagation
@@ -434,11 +475,8 @@ pub struct FamilyAuditor {
     bounds: FamilyBounds,
     /// The graph as of *before* the event being observed.
     prev: selfheal_graph::Graph,
-    /// Violations found, prefixed with the event number (capped at
-    /// `MAX_VIOLATIONS`; `truncated` records overflow).
-    pub violations: Vec<String>,
-    /// Whether findings were dropped after the cap.
-    pub truncated: bool,
+    /// Violations found, each prefixed with its event number.
+    pub findings: Findings,
 }
 
 impl FamilyAuditor {
@@ -453,8 +491,7 @@ impl FamilyAuditor {
                 check_stretch: true,
             },
             prev: net.graph().clone(),
-            violations: Vec::new(),
-            truncated: false,
+            findings: Findings::default(),
         }
     }
 
@@ -468,23 +505,18 @@ impl FamilyAuditor {
                 check_stretch: false,
             },
             prev: net.graph().clone(),
-            violations: Vec::new(),
-            truncated: false,
+            findings: Findings::default(),
         }
     }
 
     /// Whether every checked family bound held so far.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+        self.findings.is_empty()
     }
 
     fn record(&mut self, label: &str, finding: String) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations
-                .push(format!("{label} [{}]: {finding}", self.bounds.family));
-        } else {
-            self.truncated = true;
-        }
+        self.findings
+            .push(format!("{label} [{}]: {finding}", self.bounds.family));
     }
 }
 
@@ -580,8 +612,8 @@ mod tests {
     #[test]
     fn fresh_network_passes_everything() {
         let net = HealingNetwork::new(path_graph(10), 0);
-        let report = check_all(&net, true, true);
-        assert!(report.ok(), "{:?}", report.violations);
+        let violations = check_all(&net, true, true);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
@@ -637,9 +669,7 @@ mod tests {
     fn disconnection_is_reported() {
         let mut net = HealingNetwork::new(star_graph(4), 0);
         net.delete_node(NodeId(0)).unwrap();
-        let report = check_all(&net, true, false);
-        assert!(!report.ok());
-        assert!(report.violations[0].contains("disconnected"));
+        assert!(check_all(&net, true, false)[0].contains("disconnected"));
     }
 
     #[test]
@@ -653,8 +683,7 @@ mod tests {
         let mut engine = ScenarioEngine::new(HealingNetwork::new(g, 5), Dash, MaxNode);
         let report = engine.run_to_empty_with(&mut auditor);
         auditor.finish(&engine.net, &report);
-        assert!(auditor.ok(), "{:?}", auditor.violations);
-        assert!(!auditor.truncated);
+        assert!(auditor.ok(), "{:?}", auditor.findings);
     }
 
     #[test]
@@ -669,10 +698,13 @@ mod tests {
         let mut engine = ScenarioEngine::new(HealingNetwork::new(g, 3), NoHeal, MaxNode);
         engine.run_to_empty_with(&mut auditor);
         assert!(!auditor.ok(), "NoHeal must break connectivity");
-        assert!(auditor.violations.len() <= super::MAX_VIOLATIONS);
-        assert!(auditor.truncated, "disconnection re-fires every event");
-        assert!(auditor.violations[0].contains("disconnected"));
-        assert!(auditor.violations[0].contains("event"));
+        assert_eq!(auditor.findings.kept().len(), MAX_FINDINGS);
+        assert!(
+            auditor.findings.truncated(),
+            "disconnection re-fires every event"
+        );
+        assert!(auditor.findings.kept()[0].contains("disconnected"));
+        assert!(auditor.findings.kept()[0].contains("event"));
     }
 
     #[test]
@@ -700,7 +732,7 @@ mod tests {
             .with_bounds(unbounded);
         let mut engine = ScenarioEngine::new(HealingNetwork::new(g, 3), NoHeal, MaxNode);
         engine.run_to_empty_with(&mut auditor);
-        assert!(auditor.ok(), "{:?}", auditor.violations);
+        assert!(auditor.ok(), "{:?}", auditor.findings);
     }
 
     #[test]
@@ -719,9 +751,13 @@ mod tests {
         let mut engine = ScenarioEngine::new(HealingNetwork::new(g, 9), Dash, MaxNode);
         engine.run_to_empty_with(&mut auditor);
         assert!(
-            auditor.violations.iter().any(|v| v.contains("theorem 1.1")),
+            auditor
+                .findings
+                .kept()
+                .iter()
+                .any(|v| v.contains("theorem 1.1")),
             "{:?}",
-            auditor.violations
+            auditor.findings
         );
     }
 
@@ -738,13 +774,13 @@ mod tests {
         let mut auditor = FamilyAuditor::forgiving_tree(&net);
         let mut engine = ScenarioEngine::new(net, ForgivingTree, MaxNode);
         engine.run_to_empty_with(&mut auditor);
-        assert!(auditor.ok(), "{:?}", auditor.violations);
+        assert!(auditor.ok(), "{:?}", auditor.findings);
 
         let net = HealingNetwork::new(g, 7);
         let mut auditor = FamilyAuditor::ring(&net, 2);
         let mut engine = ScenarioEngine::new(net, RingForgiving { budget: 2 }, MaxNode);
         engine.run_to_empty_with(&mut auditor);
-        assert!(auditor.ok(), "{:?}", auditor.violations);
+        assert!(auditor.ok(), "{:?}", auditor.findings);
     }
 
     #[test]
@@ -778,13 +814,13 @@ mod tests {
         for auditor in [&ftree, &ringa] {
             assert!(!auditor.ok());
             assert!(
-                auditor.violations[0].contains("gained 6 edges"),
+                auditor.findings.kept()[0].contains("gained 6 edges"),
                 "{:?}",
-                auditor.violations
+                auditor.findings
             );
         }
-        assert!(ftree.violations[0].contains("[ftree]"));
-        assert!(ringa.violations[0].contains("allowed 4"));
+        assert!(ftree.findings.kept()[0].contains("[ftree]"));
+        assert!(ringa.findings.kept()[0].contains("allowed 4"));
     }
 
     #[test]
@@ -798,12 +834,35 @@ mod tests {
         engine.run_events_with(1, &mut auditor);
         assert!(
             auditor
-                .violations
+                .findings
+                .kept()
                 .iter()
                 .any(|v| v.contains("disconnected")),
             "{:?}",
-            auditor.violations
+            auditor.findings
         );
+    }
+
+    #[test]
+    fn findings_keep_the_first_sixteen_and_count_the_rest() {
+        let mut a = Findings::default();
+        assert!(a.is_empty() && !a.truncated());
+        for i in 0..10 {
+            a.push(format!("a{i}"));
+        }
+        let mut b = Findings::default();
+        for i in 0..10 {
+            b.push(format!("b{i}"));
+        }
+        a.append(b.map(|f| format!("[{f}]")));
+        assert_eq!(a.count(), 20);
+        assert_eq!(a.dropped(), 4);
+        assert!(a.truncated());
+        assert_eq!(a.kept()[9], "a9");
+        assert_eq!(a.kept()[10], "[b0]");
+        assert_eq!(a.kept()[MAX_FINDINGS - 1], "[b5]");
+        a.push("late".to_string());
+        assert_eq!((a.count(), a.kept().len()), (21, MAX_FINDINGS));
     }
 
     #[test]

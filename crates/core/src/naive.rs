@@ -35,22 +35,23 @@ impl Healer for GraphHeal {
         "graph-heal"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
+    fn heal_into(
+        &mut self,
+        net: &mut HealingNetwork,
+        ctx: &DeletionContext,
+        out: &mut HealOutcome,
+    ) {
+        out.clear();
         let ordered = order_by_initial_id(net, &ctx.g_neighbors);
-        let mut edges_added = Vec::new();
         for (a, b) in complete_binary_tree_edges(&ordered) {
             // panic-ok: the deletion context's surviving neighbors are
             // alive by construction when heal runs.
             let (_, new_gp) = net.add_heal_edge(a, b).expect("neighbors must be alive");
             if new_gp {
-                edges_added.push((a, b));
+                out.edges_added.push((a, b));
             }
         }
-        HealOutcome {
-            rt_members: ctx.g_neighbors.clone(),
-            edges_added,
-            surrogate: None,
-        }
+        out.rt_members.extend_from_slice(&ctx.g_neighbors);
     }
 
     fn preserves_forest(&self) -> bool {
@@ -67,15 +68,16 @@ impl Healer for BinaryTreeHeal {
         "bintree-heal"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let members = rt::reconstruction_set(net, ctx);
-        let ordered = order_by_initial_id(net, &members);
-        let edges_added = rt::connect_binary_tree(net, &ordered);
-        HealOutcome {
-            rt_members: members,
-            edges_added,
-            surrogate: None,
-        }
+    fn heal_into(
+        &mut self,
+        net: &mut HealingNetwork,
+        ctx: &DeletionContext,
+        out: &mut HealOutcome,
+    ) {
+        out.clear();
+        out.rt_members = rt::reconstruction_set(net, ctx);
+        let ordered = order_by_initial_id(net, &out.rt_members);
+        rt::connect_binary_tree_into(net, &ordered, &mut out.edges_added);
     }
 }
 
@@ -88,22 +90,22 @@ impl Healer for LineHeal {
         "line-heal"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let members = rt::reconstruction_set(net, ctx);
-        let ordered = order_by_initial_id(net, &members);
-        let mut edges_added = Vec::new();
+    fn heal_into(
+        &mut self,
+        net: &mut HealingNetwork,
+        ctx: &DeletionContext,
+        out: &mut HealOutcome,
+    ) {
+        out.clear();
+        out.rt_members = rt::reconstruction_set(net, ctx);
+        let ordered = order_by_initial_id(net, &out.rt_members);
         for (a, b) in line_edges(&ordered) {
             // panic-ok: reconstruction-set members are surviving nodes
             // by definition of the RT.
             let (_, new_gp) = net.add_heal_edge(a, b).expect("RT endpoints must be alive");
             if new_gp {
-                edges_added.push((a, b));
+                out.edges_added.push((a, b));
             }
-        }
-        HealOutcome {
-            rt_members: members,
-            edges_added,
-            surrogate: None,
         }
     }
 }
@@ -117,8 +119,8 @@ impl Healer for NoHeal {
         "no-heal"
     }
 
-    fn heal(&mut self, _net: &mut HealingNetwork, _ctx: &DeletionContext) -> HealOutcome {
-        HealOutcome::default()
+    fn heal_into(&mut self, _: &mut HealingNetwork, _: &DeletionContext, out: &mut HealOutcome) {
+        out.clear();
     }
 }
 

@@ -80,17 +80,18 @@ impl Healer for OracleDash {
         "oracle-dash"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let members = self.reconstruction_set(net, ctx);
-        let ordered = rt::order_by_delta(net, &members);
-        let edges_added = rt::connect_binary_tree(net, &ordered);
-        for &(a, b) in &edges_added {
+    fn heal_into(
+        &mut self,
+        net: &mut HealingNetwork,
+        ctx: &DeletionContext,
+        out: &mut HealOutcome,
+    ) {
+        out.clear();
+        out.rt_members = self.reconstruction_set(net, ctx);
+        let ordered = rt::order_by_delta(net, &out.rt_members);
+        rt::connect_binary_tree_into(net, &ordered, &mut out.edges_added);
+        for &(a, b) in &out.edges_added {
             self.uf.union(a.index(), b.index());
-        }
-        HealOutcome {
-            rt_members: members,
-            edges_added,
-            surrogate: None,
         }
     }
 

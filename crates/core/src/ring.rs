@@ -95,12 +95,6 @@ impl Healer for RingForgiving {
         "ring"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let mut out = HealOutcome::default();
-        self.heal_into(net, ctx, &mut out);
-        out
-    }
-
     fn heal_into(
         &mut self,
         net: &mut HealingNetwork,

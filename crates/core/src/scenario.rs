@@ -13,8 +13,9 @@
 //!   network, writing batch and join payloads into a borrowed buffer;
 //!   every [`Adversary`] is one via a blanket adapter (its picks become
 //!   `Delete` events);
-//! - [`Observer`] — a pluggable per-event hook (invariant auditing,
-//!   metric-series collection and record logging all plug in here);
+//! - [`Observer`] — a pluggable per-event hook (record logging and
+//!   custom auditors plug in here; the engine's own audit channel is
+//!   [`AuditLevel`]);
 //! - [`ScenarioEngine`] — the one loop that consumes any event stream.
 //!
 //! Every event kind is allocation-free at steady state for the
@@ -32,7 +33,7 @@
 
 use crate::attack::Adversary;
 use crate::batch::{delete_validated_batch_into, heal_batch_into, independent_victims};
-use crate::invariants;
+use crate::invariants::{self, TheoremAuditor};
 use crate::state::{DeletionContext, HealingNetwork, PropagationReport};
 use crate::strategy::{HealOutcome, Healer};
 use selfheal_graph::NodeId;
@@ -76,17 +77,25 @@ pub(crate) fn sanitize_join<T: Copy + PartialEq>(
     }
 }
 
-/// Which (increasingly expensive) checks to run after every event.
+/// Which checks the engine runs after every event. Whatever the level,
+/// its findings land in [`ScenarioReport::violations`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AuditLevel {
     /// No checking (experiment/benchmark mode).
     #[default]
     Off,
     /// Connectivity + forest + delta bound + weight conservation: O(n)
-    /// per event.
+    /// per event. Every finding is reported.
     Cheap,
-    /// Everything, including the O(n²) `rem` potential of Lemma 4.
+    /// Cheap's checks plus the O(n²) `rem` potential of Lemma 4.
     Full,
+    /// The whole of Theorem 1: a [`TheoremAuditor`] at the paper's
+    /// bounds after every event, which waives the forest check once a
+    /// multi-victim batch lands, and its amortized-latency check once,
+    /// at [`ScenarioEngine::finish`]. The report keeps the first
+    /// [`MAX_FINDINGS`](invariants::MAX_FINDINGS) findings, then one
+    /// `audit: further findings truncated` line when more were found.
+    Theorems,
 }
 
 /// One reconfiguration event presented to the network.
@@ -613,48 +622,91 @@ impl Observer for RecordLog {
     }
 }
 
-/// Invariant auditing as an observer: after every event, run the lemma
-/// checks of [`crate::invariants`] at the configured level and collect
-/// violations. The engine embeds one (see [`ScenarioEngine::with_audit`])
-/// and drains its findings into the run report.
+/// The engine's audit channel: the checks its [`AuditLevel`] asks for,
+/// writing findings into the run report.
 #[derive(Clone, Debug)]
-pub struct AuditObserver {
-    level: AuditLevel,
-    preserves_forest: bool,
-    /// Violations found so far, prefixed with their round number.
-    pub violations: Vec<String>,
+enum Audit {
+    Off,
+    /// The lemma checks of [`invariants::check_all`] (cheap and full).
+    Lemmas {
+        expect_forest: bool,
+        check_rem: bool,
+    },
+    /// Theorem 1; `finished` once the end-of-run checks have run. Boxed
+    /// so the engine is no bigger for the unaudited hot path.
+    Theorems {
+        auditor: Box<TheoremAuditor>,
+        finished: bool,
+    },
 }
 
-impl AuditObserver {
-    /// Audit at `level`; `preserves_forest` mirrors
-    /// [`Healer::preserves_forest`] for the strategy under test.
-    pub fn new(level: AuditLevel, preserves_forest: bool) -> Self {
-        AuditObserver {
-            level,
-            preserves_forest,
-            violations: Vec::new(),
+impl Audit {
+    fn new(level: AuditLevel, preserves_forest: bool) -> Self {
+        match level {
+            AuditLevel::Off => Audit::Off,
+            AuditLevel::Cheap | AuditLevel::Full => Audit::Lemmas {
+                expect_forest: preserves_forest,
+                check_rem: level == AuditLevel::Full,
+            },
+            AuditLevel::Theorems => Audit::Theorems {
+                auditor: Box::new(TheoremAuditor::new(preserves_forest)),
+                finished: false,
+            },
+        }
+    }
+
+    /// Check the post-event network, appending findings to `out`. Kept
+    /// out of line: the unaudited hot path only tests for `Off`.
+    #[inline(never)]
+    fn on_event(&mut self, net: &HealingNetwork, record: &EventRecord, out: &mut Vec<String>) {
+        match self {
+            Audit::Off => {}
+            Audit::Lemmas {
+                expect_forest,
+                check_rem,
+            } => {
+                for v in invariants::check_all(net, *expect_forest, *check_rem) {
+                    // Healing rounds are labelled "round N"; joins and
+                    // sanitized no-ops carry no round, so attribute those
+                    // to their (always unique) event number instead.
+                    let label = if record.kind != EventKind::Join && record.victims > 0 {
+                        format!("round {}", record.round)
+                    } else {
+                        format!("event {}", record.event)
+                    };
+                    out.push(format!("{label}: {v}"));
+                }
+            }
+            Audit::Theorems { auditor, .. } => {
+                mirror(auditor, out, |a| a.on_event(net, record));
+            }
+        }
+    }
+
+    /// The end-of-run checks, run at most once.
+    fn finish(&mut self, net: &HealingNetwork, report: &ScenarioReport, out: &mut Vec<String>) {
+        if let Audit::Theorems { auditor, finished } = self {
+            if !*finished {
+                *finished = true;
+                mirror(auditor, out, |a| a.finish(net, report));
+            }
         }
     }
 }
 
-impl Observer for AuditObserver {
-    fn on_event(&mut self, net: &HealingNetwork, record: &EventRecord) {
-        if self.level == AuditLevel::Off {
-            return;
-        }
-        let check_rem = self.level == AuditLevel::Full;
-        let rep = invariants::check_all(net, self.preserves_forest, check_rem);
-        for v in rep.violations {
-            // Healing rounds are labelled "round N"; joins and
-            // sanitized no-ops carry no round, so attribute those to
-            // their (always unique) event number instead.
-            let label = if record.kind != EventKind::Join && record.victims > 0 {
-                format!("round {}", record.round)
-            } else {
-                format!("event {}", record.event)
-            };
-            self.violations.push(format!("{label}: {v}"));
-        }
+/// Run `check` on `auditor`, then append to `out` the findings it newly
+/// kept, and the truncation marker the first time one was dropped. So
+/// `out` reads as the kept findings, then the marker if any overflowed.
+fn mirror(
+    auditor: &mut TheoremAuditor,
+    out: &mut Vec<String>,
+    check: impl FnOnce(&mut TheoremAuditor),
+) {
+    let (kept, truncated) = (auditor.findings.kept().len(), auditor.findings.truncated());
+    check(auditor);
+    out.extend_from_slice(&auditor.findings.kept()[kept..]);
+    if auditor.findings.truncated() && !truncated {
+        out.push("audit: further findings truncated".to_string());
     }
 }
 
@@ -709,7 +761,7 @@ pub struct ScenarioEngine<H: Healer, S: EventSource> {
     pub net: HealingNetwork,
     healer: H,
     source: S,
-    audit: AuditObserver,
+    audit: Audit,
     report: ScenarioReport,
     /// One deletion context per victim slot, grown once to the largest
     /// batch seen and reused across rounds.
@@ -736,12 +788,11 @@ pub const NO_PROGRESS_LIMIT: u64 = 4096;
 impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
     /// New engine with auditing off.
     pub fn new(net: HealingNetwork, healer: H, source: S) -> Self {
-        let preserves_forest = healer.preserves_forest();
         ScenarioEngine {
             net,
             healer,
             source,
-            audit: AuditObserver::new(AuditLevel::Off, preserves_forest),
+            audit: Audit::Off,
             report: ScenarioReport::default(),
             contexts: Vec::new(),
             outcomes: Vec::new(),
@@ -751,10 +802,10 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         }
     }
 
-    /// Enable invariant auditing (implemented as an embedded
-    /// [`AuditObserver`] whose findings drain into the report).
+    /// Enable invariant auditing at `level`; findings land in the
+    /// report's [`violations`](ScenarioReport::violations).
     pub fn with_audit(mut self, level: AuditLevel) -> Self {
-        self.audit = AuditObserver::new(level, self.healer.preserves_forest());
+        self.audit = Audit::new(level, self.healer.preserves_forest());
         self
     }
 
@@ -819,12 +870,15 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
             self.consecutive_noops = 0;
         }
         observer.on_event(&self.net, &record);
-        self.audit.on_event(&self.net, &record);
-        self.report.violations.append(&mut self.audit.violations);
+        if !matches!(self.audit, Audit::Off) {
+            self.audit
+                .on_event(&self.net, &record, &mut self.report.violations);
+        }
         record
     }
 
-    /// Run until the source stops (for kill-sweeps: the network is empty).
+    /// Run until the source stops (for kill-sweeps: the network is
+    /// empty), then [`finish`](ScenarioEngine::finish) the run.
     pub fn run_to_empty(&mut self) -> ScenarioReport {
         self.run_to_empty_with(&mut NullObserver)
     }
@@ -832,10 +886,12 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
     /// [`ScenarioEngine::run_to_empty`] with an external observer.
     pub fn run_to_empty_with(&mut self, observer: &mut dyn Observer) -> ScenarioReport {
         while self.step_with(observer).is_some() {}
-        self.finalize()
+        self.finish()
     }
 
-    /// Run at most `k` further events.
+    /// Run at most `k` further events and return the report so far, with
+    /// per-node maxima refreshed. The run stays open: more events may
+    /// follow, and [`finish`](ScenarioEngine::finish) closes it.
     pub fn run_events(&mut self, k: u64) -> ScenarioReport {
         self.run_events_with(k, &mut NullObserver)
     }
@@ -847,28 +903,34 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
                 break;
             }
         }
-        self.finalize()
+        self.refresh_maxima();
+        self.report.clone()
     }
 
-    /// Finalize and return the report: per-node maxima (id changes /
-    /// traffic) are refreshed with a full scan over all node slots so
-    /// nodes that were never RT members are included. The run methods
-    /// call this automatically; callers driving [`ScenarioEngine::step`]
-    /// manually call it once at the end.
+    /// End the run and return the report: per-node maxima are refreshed
+    /// as by [`run_events`](ScenarioEngine::run_events), and the audit's
+    /// end-of-run checks (Theorem 1's amortized latency, under
+    /// [`AuditLevel::Theorems`]) run, once however often this is called.
+    /// [`run_to_empty`](ScenarioEngine::run_to_empty) calls it; callers
+    /// driving [`ScenarioEngine::step`] or
+    /// [`ScenarioEngine::apply_with`] call it at the end.
     pub fn finish(&mut self) -> ScenarioReport {
-        self.finalize()
+        self.refresh_maxima();
+        let mut violations = std::mem::take(&mut self.report.violations);
+        self.audit.finish(&self.net, &self.report, &mut violations);
+        self.report.violations = violations;
+        self.report.clone()
     }
 
-    /// Final report. Per-node maxima (id changes / traffic) are refreshed
-    /// with a full scan over all node slots so nodes that were never RT
-    /// members are included.
-    fn finalize(&mut self) -> ScenarioReport {
+    /// Refresh the per-node maxima (id changes / traffic) with a full
+    /// scan over all node slots, so nodes that were never RT members are
+    /// included.
+    fn refresh_maxima(&mut self) {
         for i in 0..self.net.graph().node_bound() {
             let v = NodeId::from_index(i);
             self.report.max_id_changes = self.report.max_id_changes.max(self.net.id_changes(v));
             self.report.max_traffic = self.report.max_traffic.max(self.net.traffic(v));
         }
-        self.report.clone()
     }
 
     /// One healing round over live, distinct, pairwise non-adjacent
@@ -891,7 +953,7 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         );
         // Only reconstruction-set members can gain degree in a round, so
         // the running max of δ over rounds is the global max. ID changes
-        // and traffic reach further; `finalize` rescans every node.
+        // and traffic reach further; `refresh_maxima` rescans every node.
         let mut round_max_delta: Option<i64> = None;
         for o in &self.outcomes[..k] {
             record.rt_size += o.rt_members.len();
@@ -1041,6 +1103,27 @@ mod tests {
             !report.violations.is_empty(),
             "NoHeal must break connectivity"
         );
+    }
+
+    #[test]
+    fn theorem_audit_checks_amortized_latency_once_at_finish() {
+        // A zero latency factor flags any run whose broadcasts took a hop.
+        let tight = invariants::TheoremBounds {
+            latency_factor: 0.0,
+            ..invariants::TheoremBounds::default()
+        };
+        let mut engine = ScenarioEngine::new(ba_net(40, 13), Dash, MaxNode);
+        engine.audit = Audit::Theorems {
+            auditor: Box::new(TheoremAuditor::new(true).with_bounds(tight)),
+            finished: false,
+        };
+        assert!(engine.run_events(20).violations.is_empty());
+        let found = engine.finish().violations;
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("finish: amortized latency"));
+        assert_eq!(engine.finish().violations, found);
+        assert_eq!(engine.run_events(5).violations, found);
+        assert_eq!(engine.run_to_empty().violations, found);
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl Healer for Sdash {
         "sdash"
     }
 
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        let mut out = HealOutcome::default();
-        self.heal_into(net, ctx, &mut out);
-        out
-    }
-
     /// The allocation-free hot path (see [`crate::dash::Dash`]): star
     /// wiring needs no scratch at all, the binary-tree fallback reuses the
     /// network's δ-order buffer.

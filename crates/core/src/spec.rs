@@ -20,7 +20,7 @@
 //! - [`BackendSpec`] — centralized [`ScenarioEngine`], the distributed
 //!   fabric ([`DistributedScenarioRunner`]), or the paired parity twin;
 //! - [`AuditSpec`] — per-event invariant checking up to the full
-//!   [`TheoremAuditor`].
+//!   [`TheoremAuditor`](crate::invariants::TheoremAuditor).
 //!
 //! Specs have a stable, line-oriented `key = value` text form, hand-rolled
 //! so the workspace needs no serialization library.
@@ -58,7 +58,7 @@
 use crate::distributed::HealMode;
 use crate::distributed_runner::{DistEventRecord, DistScenarioReport, DistributedScenarioRunner};
 use crate::explore::{explore_events, ExplorerConfig};
-use crate::invariants::TheoremAuditor;
+use crate::invariants::Findings;
 use crate::scenario::{
     AuditLevel, EventRecord, EventSource, NetworkEvent, NullObserver, RecordLog, ScenarioEngine,
     ScenarioReport, ScriptedEvents,
@@ -777,8 +777,10 @@ pub enum AuditSpec {
     /// Engine-level checks including the O(n²) `rem` potential
     /// ([`AuditLevel::Full`]).
     Full,
-    /// The full [`TheoremAuditor`]: every Theorem 1 bound enforced per
-    /// event plus the amortized-latency check at the end of the run.
+    /// The full [`TheoremAuditor`](crate::invariants::TheoremAuditor):
+    /// every Theorem 1 bound enforced per event plus the
+    /// amortized-latency check at the end of the run
+    /// ([`AuditLevel::Theorems`]).
     Theorems,
     /// The exhaustive small-world prover
     /// ([`run_universe`](crate::exhaustive::run_universe)): instead of
@@ -816,20 +818,14 @@ impl AuditSpec {
         AuditSpec::ALL.into_iter().find(|a| a.name() == name)
     }
 
-    /// The engine-embedded audit level this spec level maps to (the
-    /// theorem auditor rides outside the engine as an observer).
+    /// The engine audit level this spec level maps to. `exhaustive`
+    /// audits its own universe of runs, so its engine runs unaudited.
     pub fn engine_level(self) -> AuditLevel {
         match self {
             AuditSpec::Cheap => AuditLevel::Cheap,
             AuditSpec::Full => AuditLevel::Full,
-            // Theorem-level audits deliberately bypass the engine's
-            // per-event checks: the engine audit insists G' is a forest
-            // after *every* event, but a simultaneous batch can
-            // legitimately cycle G' (the TheoremAuditor waives the
-            // forest check exactly there), so the engine check would
-            // report spurious violations. See the satellite test in
-            // this module.
-            AuditSpec::Off | AuditSpec::Theorems | AuditSpec::Exhaustive => AuditLevel::Off,
+            AuditSpec::Theorems => AuditLevel::Theorems,
+            AuditSpec::Off | AuditSpec::Exhaustive => AuditLevel::Off,
         }
     }
 }
@@ -1076,8 +1072,7 @@ impl ScenarioSpec {
     /// Build a ready-to-drive centralized engine from the spec (healer
     /// and source as trait objects — the `Box<dyn EventSource>` blanket
     /// impl makes this a first-class engine instantiation). The audit
-    /// level maps through [`AuditSpec::engine_level`]; theorem auditing
-    /// is a run-level concern (see [`ScenarioSpec::run`]).
+    /// level maps through [`AuditSpec::engine_level`].
     pub fn build_engine(&self) -> Result<DynScenarioEngine, SpecError> {
         self.graph.validate()?;
         self.adversary.validate()?;
@@ -1114,15 +1109,6 @@ impl ScenarioSpec {
         let g = self.graph.build(self.seed);
         let initial_nodes = g.live_node_count() as u64;
         let baseline = opts.measure_stretch.then(|| StretchBaseline::new(&g, 1));
-        let healer = self.healer.build();
-        let mut auditor = (self.audit == AuditSpec::Theorems).then(|| {
-            let a = TheoremAuditor::new(healer.preserves_forest());
-            if opts.check_rem {
-                a.with_rem_check()
-            } else {
-                a
-            }
-        });
         let mut source = self.adversary.build(self.seed);
         let mut twin = if self.backend == BackendSpec::Centralized {
             None
@@ -1136,7 +1122,7 @@ impl ScenarioSpec {
         };
         let mut engine = ScenarioEngine::new(
             HealingNetwork::new(g, self.seed),
-            healer,
+            self.healer.build(),
             ScriptedEvents::default(),
         )
         .with_audit(self.audit.engine_level());
@@ -1151,10 +1137,7 @@ impl ScenarioSpec {
                 break;
             };
             events += 1;
-            let record = match auditor.as_mut() {
-                Some(auditor) => engine.apply_with(event.as_event_ref(), auditor),
-                None => engine.apply_with(event.as_event_ref(), &mut NullObserver),
-            };
+            let record = engine.apply_with(event.as_event_ref(), &mut NullObserver);
             if let Some(log) = log.as_mut() {
                 log.records.push(record);
             }
@@ -1178,16 +1161,6 @@ impl ScenarioSpec {
             }
         }
         let report = engine.finish();
-        if let Some(auditor) = auditor.as_mut() {
-            auditor.finish(&engine.net, &report);
-            let truncated = auditor.truncated;
-            violations.append(&mut auditor.violations);
-            if truncated {
-                // Keep the cap visible: 16 findings + this marker reads
-                // differently from exactly 16 findings.
-                violations.push("audit: further findings truncated".to_string());
-            }
-        }
         if self.backend == BackendSpec::Parity {
             if let Some(runner) = twin.as_ref() {
                 if let Err(e) = parity_final(&engine.net, runner) {
@@ -1218,13 +1191,7 @@ impl ScenarioSpec {
             ..crate::exhaustive::UniverseConfig::default()
         };
         let universe = crate::exhaustive::run_universe(&cfg)?;
-        let mut violations = universe.violations.clone();
-        if universe.truncated {
-            violations.push(format!(
-                "exhaustive: {} further findings truncated",
-                universe.violation_count - violations.len() as u64
-            ));
-        }
+        let violations = outcome_lines(universe.findings.clone(), "exhaustive");
         Ok(SpecOutcome {
             seed: self.seed,
             report: ScenarioReport::default(),
@@ -1264,17 +1231,8 @@ impl ScenarioSpec {
             &events,
             &ExplorerConfig::default(),
         )?;
-        let mut violations: Vec<String> = explorer
-            .violations
-            .iter()
-            .map(|v| format!("explorer: {v}"))
-            .collect();
-        if explorer.truncated {
-            violations.push(format!(
-                "explorer: {} further findings truncated",
-                explorer.violation_count - explorer.violations.len() as u64
-            ));
-        }
+        let found = explorer.findings.clone().map(|v| format!("explorer: {v}"));
+        let violations = outcome_lines(found, "explorer");
         Ok(SpecOutcome {
             seed: self.seed,
             report,
@@ -1286,6 +1244,17 @@ impl ScenarioSpec {
             explorer: Some(explorer),
         })
     }
+}
+
+/// The kept findings as outcome lines, then one line counting the
+/// dropped ones, if any.
+fn outcome_lines(findings: Findings, source: &str) -> Vec<String> {
+    let mut lines = findings.kept().to_vec();
+    if findings.truncated() {
+        let dropped = findings.dropped();
+        lines.push(format!("{source}: {dropped} further findings truncated"));
+    }
+    lines
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -1314,8 +1283,6 @@ impl FromStr for ScenarioSpec {
 pub struct RunOptions {
     /// Keep the full per-event [`RecordLog`].
     pub keep_log: bool,
-    /// Under `audit = theorems`, also check the O(n²) `rem` potential.
-    pub check_rem: bool,
     /// Sample the half-life stretch against the initial graph.
     pub measure_stretch: bool,
 }
@@ -1335,8 +1302,9 @@ pub struct SpecOutcome {
     /// Half-life stretch vs the initial graph (×10, rounded up), when
     /// measured and enough baseline nodes survived.
     pub stretch_tenths: Option<u64>,
-    /// Theorem-auditor and parity findings (engine-level audit findings
-    /// live in [`ScenarioReport::violations`]).
+    /// Parity, exhaustive-universe and explorer findings (the engine's
+    /// audit findings, `theorems` included, live in
+    /// [`ScenarioReport::violations`]).
     pub violations: Vec<String>,
     /// Exhaustive-universe report (`audit = exhaustive` runs only).
     pub universe: Option<crate::exhaustive::UniverseReport>,
@@ -1717,21 +1685,18 @@ mod tests {
         assert_eq!(out.log.unwrap().records.len(), 5);
     }
 
-    /// Satellite: `theorems` (and `exhaustive`) deliberately map to
-    /// [`AuditLevel::Off`] at the engine. The engine's embedded audit
-    /// insists G' stays a forest after **every** event, but a
-    /// simultaneous deletion batch can legitimately leave a cycle in G'
-    /// (the [`TheoremAuditor`] waives the forest check exactly on
-    /// multi-victim batches). Running both would report spurious
-    /// violations on correct healers — demonstrated here: the same
-    /// batch-heavy scenario is clean under `theorems` yet flagged by the
-    /// engine's `cheap` forest check.
+    /// `theorems` is an engine level of its own, not `cheap` plus extra
+    /// checks: `cheap` insists G' stays a forest after **every** event,
+    /// but a simultaneous deletion batch can legitimately leave a cycle
+    /// in G', and the theorem auditor waives the forest check exactly on
+    /// multi-victim batches. Demonstrated here: the same batch-heavy
+    /// scenario is clean under `theorems` yet flagged by `cheap`.
     #[test]
-    fn theorem_audit_bypasses_engine_checks_because_batches_may_cycle_gprime() {
+    fn theorem_audit_waives_the_forest_check_that_cheap_applies_to_batches() {
         assert_eq!(AuditSpec::Off.engine_level(), AuditLevel::Off);
         assert_eq!(AuditSpec::Cheap.engine_level(), AuditLevel::Cheap);
         assert_eq!(AuditSpec::Full.engine_level(), AuditLevel::Full);
-        assert_eq!(AuditSpec::Theorems.engine_level(), AuditLevel::Off);
+        assert_eq!(AuditSpec::Theorems.engine_level(), AuditLevel::Theorems);
         assert_eq!(AuditSpec::Exhaustive.engine_level(), AuditLevel::Off);
 
         // Simultaneous deletions snapshot each victim's G'-neighbors at

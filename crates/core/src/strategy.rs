@@ -28,10 +28,10 @@ impl HealOutcome {
 
 /// A locality-aware healing strategy.
 ///
-/// The engine calls [`Healer::heal`] immediately after each deletion with
-/// the [`DeletionContext`]; the strategy may add edges **only among the
-/// former neighbors of the deleted node** (the locality contract of the
-/// paper's model — verified by the engine's audit mode).
+/// The engine calls [`Healer::heal_into`] immediately after each deletion
+/// with the [`DeletionContext`]; the strategy may add edges **only among
+/// the former neighbors of the deleted node** (the locality contract of
+/// the paper's model — verified by the engine's audit mode).
 ///
 /// `Send` is a supertrait so boxed healers (and the engines holding
 /// them) can migrate across the serving layer's worker threads; every
@@ -41,21 +41,18 @@ pub trait Healer: Send {
     fn name(&self) -> &'static str;
 
     /// React to a deletion by adding edges via
-    /// [`HealingNetwork::add_heal_edge`].
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome;
+    /// [`HealingNetwork::add_heal_edge`], writing what was done into a
+    /// caller-owned outcome (cleared first). Steady-state heal loops
+    /// reuse the outcome's buffers; the allocation-free strategies
+    /// (DASH, SDASH, ForgivingTree, RingForgiving) work entirely on
+    /// reused buffers.
+    fn heal_into(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext, out: &mut HealOutcome);
 
-    /// [`Healer::heal`] writing into a caller-owned outcome (cleared
-    /// first), so steady-state heal loops reuse the outcome's buffers.
-    /// The default delegates to [`Healer::heal`]; allocation-free
-    /// strategies (DASH, SDASH) override it to work entirely on reused
-    /// buffers.
-    fn heal_into(
-        &mut self,
-        net: &mut HealingNetwork,
-        ctx: &DeletionContext,
-        out: &mut HealOutcome,
-    ) {
-        *out = self.heal(net, ctx);
+    /// [`Healer::heal_into`] into a fresh outcome.
+    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
+        let mut out = HealOutcome::default();
+        self.heal_into(net, ctx, &mut out);
+        out
     }
 
     /// Whether this strategy guarantees the healing graph `G'` remains a
@@ -76,10 +73,6 @@ pub trait Healer: Send {
 impl<H: Healer + ?Sized> Healer for Box<H> {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn heal(&mut self, net: &mut HealingNetwork, ctx: &DeletionContext) -> HealOutcome {
-        (**self).heal(net, ctx)
     }
 
     fn heal_into(
@@ -109,8 +102,13 @@ mod tests {
         fn name(&self) -> &'static str {
             "nop"
         }
-        fn heal(&mut self, _: &mut HealingNetwork, _: &DeletionContext) -> HealOutcome {
-            HealOutcome::default()
+        fn heal_into(
+            &mut self,
+            _: &mut HealingNetwork,
+            _: &DeletionContext,
+            out: &mut HealOutcome,
+        ) {
+            out.clear();
         }
     }
 

@@ -104,8 +104,6 @@ pub struct SweepConfig {
     pub spec: ScenarioSpec,
     /// Number of independent seeded runs.
     pub runs: u64,
-    /// Also check the O(n²) `rem` potential each event (slow; small n).
-    pub check_rem: bool,
     /// Worker threads for the fleet.
     pub threads: usize,
 }
@@ -136,7 +134,6 @@ impl SweepConfig {
         SweepConfig {
             spec,
             runs: 32,
-            check_rem: false,
             threads: 1,
         }
     }
@@ -198,7 +195,6 @@ fn execute(
 ) -> (ScenarioReport, RecordLog, Option<u64>, Vec<String>) {
     let opts = RunOptions {
         keep_log,
-        check_rem: cfg.check_rem,
         measure_stretch: true,
     };
     match cfg.spec.clone().with_seed(seed).run_with(&opts) {
@@ -209,8 +205,8 @@ fn execute(
             mut violations,
             ..
         }) => {
-            // Engine-level audit findings (audit = cheap/full templates)
-            // join the violation list so the aggregate sees one stream.
+            // The engine's audit findings join the parity findings so the
+            // aggregate sees one stream.
             violations.append(&mut report.violations);
             (report, log.unwrap_or_default(), stretch_tenths, violations)
         }

@@ -55,22 +55,9 @@ pub fn run(scale: Scale, base_seed: u64, threads: usize) -> Figure {
     for healer in HealerSpec::figure_set() {
         let mut series = Series::new(healer.name());
         for &n in &scale.stretch_sizes() {
-            let workers = threads.max(1).min(trials.max(1));
-            let mut pairs = selfheal_graph::parallel::parallel_fold(
-                trials,
-                workers,
-                Vec::new,
-                |mut acc, t| {
-                    acc.push((t, run_stretch_trial(n, healer, trial_seed(base_seed, n, t))));
-                    acc
-                },
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            pairs.sort_by_key(|&(t, _)| t);
-            let values: Vec<f64> = pairs.into_iter().map(|(_, s)| s).collect();
+            let values = selfheal_graph::parallel::parallel_map(trials, threads, |t| {
+                run_stretch_trial(n, healer, trial_seed(base_seed, n, t))
+            });
             series.push(SeriesPoint::from_trials(n as f64, &values));
         }
         fig.push(series);

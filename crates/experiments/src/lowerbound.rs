@@ -49,40 +49,10 @@ pub fn run(scale: Scale, base_seed: u64) -> Vec<LevelAttackResult> {
             if n > 100_000 {
                 continue;
             }
-            let mut boxed = healer.build();
-            let result = run_level_attack_boxed(boxed.as_mut(), healer.name(), m, depth, base_seed);
-            results.push(result);
+            results.push(run_level_attack(healer.build(), m, depth, base_seed));
         }
     }
     results
-}
-
-/// Object-safe wrapper: `run_level_attack` is generic, so re-dispatch
-/// through a small adapter that forwards to the boxed healer.
-fn run_level_attack_boxed(
-    healer: &mut dyn selfheal_core::strategy::Healer,
-    name: &'static str,
-    m: usize,
-    depth: u32,
-    seed: u64,
-) -> LevelAttackResult {
-    struct Fwd<'a>(&'a mut dyn selfheal_core::strategy::Healer, &'static str);
-    impl selfheal_core::strategy::Healer for Fwd<'_> {
-        fn name(&self) -> &'static str {
-            self.1
-        }
-        fn heal(
-            &mut self,
-            net: &mut selfheal_core::state::HealingNetwork,
-            ctx: &selfheal_core::state::DeletionContext,
-        ) -> selfheal_core::strategy::HealOutcome {
-            self.0.heal(net, ctx)
-        }
-        fn preserves_forest(&self) -> bool {
-            self.0.preserves_forest()
-        }
-    }
-    run_level_attack(Fwd(healer, name), m, depth, seed)
 }
 
 /// Render the results table.

@@ -77,22 +77,9 @@ pub fn run_trials(
     trials: usize,
     threads: usize,
 ) -> Vec<TrialStats> {
-    let threads = threads.max(1).min(trials.max(1));
-    let mut pairs = selfheal_graph::parallel::parallel_fold(
-        trials,
-        threads,
-        Vec::new,
-        |mut acc, t| {
-            acc.push((t, run_trial(n, healer, attack, trial_seed(base_seed, n, t))));
-            acc
-        },
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-    );
-    pairs.sort_by_key(|&(t, _)| t);
-    pairs.into_iter().map(|(_, s)| s).collect()
+    selfheal_graph::parallel::parallel_map(trials, threads, |t| {
+        run_trial(n, healer, attack, trial_seed(base_seed, n, t))
+    })
 }
 
 /// Extract one field of a trial batch as `f64`s (for aggregation).

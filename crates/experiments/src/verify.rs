@@ -114,11 +114,11 @@ pub fn render(summary: &VerifySummary) -> String {
                 "universe n <= {}: {} graphs x {} healers — {} order runs, {} batch runs",
                 summary.max_n, u.graphs, u.healers, u.order_runs, u.batch_runs
             );
-            let _ = writeln!(out, "  theorem violations: {}", u.violation_count);
-            for v in &u.violations {
+            let _ = writeln!(out, "  theorem violations: {}", u.findings.count());
+            for v in u.findings.kept() {
                 let _ = writeln!(out, "  VIOLATION: {v}");
             }
-            if u.truncated {
+            if u.findings.truncated() {
                 let _ = writeln!(out, "  (further findings truncated)");
             }
         }
@@ -139,8 +139,8 @@ pub fn render(summary: &VerifySummary) -> String {
                     100.0 * r.prune_ratio(),
                     r.checked
                 );
-                let _ = writeln!(out, "  parity violations: {}", r.violation_count);
-                for v in &r.violations {
+                let _ = writeln!(out, "  parity violations: {}", r.findings.count());
+                for v in r.findings.kept() {
                     let _ = writeln!(out, "  VIOLATION: {v}");
                 }
             }

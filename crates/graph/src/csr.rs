@@ -128,10 +128,11 @@ impl Csr {
         }
     }
 
-    /// Convenience wrapper around [`Csr::bfs_into`] that allocates.
+    /// Convenience wrapper around [`Csr::bfs_into`] that allocates (the
+    /// queue once, at its largest size).
     pub fn bfs(&self, src: usize) -> Vec<u32> {
         let mut dist = Vec::new();
-        let mut queue = Vec::new();
+        let mut queue = Vec::with_capacity(self.len());
         self.bfs_into(src, &mut dist, &mut queue);
         dist
     }

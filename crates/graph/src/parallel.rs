@@ -7,7 +7,8 @@
 //! threads with dynamic (atomic-counter) load balancing, and per-thread
 //! partial results are folded through a bounded channel.
 //!
-//! One-shot sweeps spawn their threads per call ([`parallel_fold`]).
+//! One-shot sweeps spawn their threads per call ([`parallel_fold`], or
+//! [`parallel_map`] when results must come back in item order).
 //! Short rounds repeated many times — the serving cluster's ticks — run
 //! on a [`WorkerPool`] instead, whose helpers park between rounds. Both
 //! hand out items through the same claim loop.
@@ -260,58 +261,40 @@ where
     )
 }
 
+/// Map every item in `0..n_items` through `map` on a pool of `threads`
+/// workers and return the results in item order, whatever the
+/// scheduling: each worker folds `(item, result)` pairs, and the pairs
+/// are sorted by item once all have arrived. Results are moved, never
+/// copied.
+pub fn parallel_map<T, F>(n_items: usize, threads: usize, map: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut pairs = parallel_fold(
+        n_items,
+        threads,
+        Vec::new,
+        |mut acc, i| {
+            acc.push((i, map(i)));
+            acc
+        },
+        |mut a, mut b| {
+            a.append(&mut b);
+            a
+        },
+    );
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, t)| t).collect()
+}
+
 /// All-pairs shortest paths over a CSR snapshot using `threads` workers.
 ///
 /// Returns the full `n x n` hop-distance matrix in dense indices,
-/// identical to [`crate::paths::apsp`] but computed in parallel. Rows are
-/// written in place, so the result is bit-for-bit deterministic regardless
-/// of scheduling.
+/// identical to [`crate::paths::apsp`] but computed in parallel, one row
+/// per [`parallel_map`] item.
 pub fn parallel_apsp(csr: &Csr, threads: usize) -> Vec<Vec<u32>> {
-    let n = csr.len();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    if n == 0 {
-        return out;
-    }
-    let threads = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    // Hand out rows through raw pointers guarded by the atomic counter:
-    // each row index is claimed exactly once, so no two threads touch the
-    // same row. A scoped-thread + channel version would avoid the unsafe
-    // block but doubles peak memory by staging rows; APSP matrices are the
-    // biggest allocation in the workspace, so in-place wins.
-    struct RowsPtr(*mut Vec<u32>);
-    // SAFETY: the pointer is only dereferenced at indices claimed
-    // exactly once through the atomic counter, so no two threads ever
-    // alias the same row; the buffer outlives the scope.
-    unsafe impl Send for RowsPtr {}
-    // SAFETY: shared access is index-disjoint by the same claim
-    // protocol; `&RowsPtr` hands out no aliased `&mut`.
-    unsafe impl Sync for RowsPtr {}
-    let rows = RowsPtr(out.as_mut_ptr());
-    scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let rows = &rows;
-            scope.spawn(move || {
-                let mut queue = Vec::new();
-                loop {
-                    // relaxed-ok: unique index claim as in
-                    // `parallel_fold`; the rows written through the
-                    // claimed index are published by the scope join, not
-                    // by this counter.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // SAFETY: `i` is claimed exactly once across all
-                    // threads (fetch_add), and `out` outlives the scope.
-                    let row = unsafe { &mut *rows.0.add(i) };
-                    csr.bfs_into(i, row, &mut queue);
-                }
-            });
-        }
-    });
-    out
+    parallel_map(csr.len(), threads, |i| csr.bfs(i))
 }
 
 #[cfg(test)]

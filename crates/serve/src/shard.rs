@@ -1,5 +1,5 @@
-//! One tenant's shard: a spec-built healing engine, its pending event
-//! queue, per-tenant metrics, the optional theorem auditor, and the
+//! One tenant's shard: a spec-built healing engine (auditing at the
+//! spec's level), its pending event queue, per-tenant metrics, and the
 //! snapshot writer that publishes queryable state after every tick.
 //!
 //! The shard keeps the request path panic-free by construction:
@@ -13,11 +13,10 @@
 //! [`ScenarioEngine::apply_with`]: selfheal_core::scenario::ScenarioEngine::apply_with
 
 use crate::snapshot::{slot_pair, SnapshotReader, SnapshotWriter};
-use selfheal_core::scenario::{EventKind, EventRef, NetworkEvent, NullObserver, Observer};
+use selfheal_core::scenario::{EventKind, EventRef, NetworkEvent, NullObserver};
 use selfheal_core::snapshot::StateSnapshot;
 use selfheal_core::spec::{AuditSpec, BackendSpec, DynScenarioEngine, ScenarioSpec};
 use selfheal_core::state::HealingNetwork;
-use selfheal_core::TheoremAuditor;
 use selfheal_graph::NodeId;
 use selfheal_metrics::TenantStats;
 use std::fmt::Write as _;
@@ -36,7 +35,7 @@ pub struct ShardSnapshot {
     pub state: StateSnapshot,
     /// Per-tenant aggregate metrics.
     pub stats: TenantStats,
-    /// Findings so far (theorem auditor + engine-level audit).
+    /// The engine's audit findings so far.
     pub violations: usize,
     /// Events queued but not yet applied when this epoch published.
     pub pending: usize,
@@ -113,11 +112,6 @@ impl Queue {
 pub struct Shard {
     tenant: String,
     engine: DynScenarioEngine,
-    /// Run-level theorem auditing (`audit = theorems` specs). The
-    /// engine's embedded audit level is `Off` for those specs, so the
-    /// shard must carry the observer itself — same wiring as
-    /// `ScenarioSpec::run_with`.
-    auditor: Option<TheoremAuditor>,
     stats: TenantStats,
     queue: Queue,
     writer: SnapshotWriter<ShardSnapshot>,
@@ -153,8 +147,6 @@ impl Shard {
         let mut engine = spec
             .build_engine()
             .map_err(|e| format!("tenant '{tenant}': {e}"))?;
-        let auditor = (spec.audit == AuditSpec::Theorems)
-            .then(|| TheoremAuditor::new(spec.healer.build().preserves_forest()));
         // Both slot values start as one full capture, and the log starts
         // empty from there (this first drain also sizes it): every later
         // spare is then a known state exactly two publishes old. The log
@@ -169,7 +161,6 @@ impl Shard {
         let mut shard = Shard {
             tenant: tenant.to_string(),
             engine,
-            auditor,
             stats: TenantStats::default(),
             queue: Queue::default(),
             writer,
@@ -222,7 +213,6 @@ impl Shard {
     /// contents and prior shard state, never on who calls it.
     pub fn tick(&mut self) -> (u64, u64) {
         let (mut applied, mut skipped) = (0u64, 0u64);
-        let mut null = NullObserver;
         for i in 0..self.queue.len() {
             let event = self.queue.get(i);
             if !would_progress(&self.engine.net, event) {
@@ -230,24 +220,13 @@ impl Shard {
                 skipped += 1;
                 continue;
             }
-            let observer: &mut dyn Observer = match self.auditor.as_mut() {
-                Some(a) => a,
-                None => &mut null,
-            };
-            let record = self.engine.apply_with(event, observer);
+            let record = self.engine.apply_with(event, &mut NullObserver);
             self.stats.observe(record.tenant_sample());
             applied += 1;
         }
         self.queue.clear();
         self.publish();
         (applied, skipped)
-    }
-
-    /// Current finding count: run-level theorem findings plus whatever
-    /// the engine-embedded audit has accumulated in its report.
-    fn violation_count(&self) -> usize {
-        self.auditor.as_ref().map_or(0, |a| a.violations.len())
-            + self.engine.report().violations.len()
     }
 
     /// Publish the current state. The spare snapshot the writer refills
@@ -263,7 +242,7 @@ impl Shard {
         let [older, newer] = &self.logs;
         let engine = &self.engine;
         let stats = self.stats;
-        let violations = self.violation_count();
+        let violations = self.engine.report().violations.len();
         let pending = self.queue.len();
         self.writer.publish(|snap| {
             if delta {
@@ -277,15 +256,12 @@ impl Shard {
         });
     }
 
-    /// Finalize: drain any stragglers, run the auditor's end-of-run
-    /// checks (amortized latency), publish the terminal snapshot, and
-    /// render the deterministic per-tenant report block.
+    /// Finalize: drain any stragglers, finish the engine's run (its
+    /// audit's end-of-run checks included), publish the terminal
+    /// snapshot, and render the deterministic per-tenant report block.
     pub fn finish(&mut self) -> String {
         self.tick();
-        let report = self.engine.finish();
-        if let Some(auditor) = self.auditor.as_mut() {
-            auditor.finish(&self.engine.net, &report);
-        }
+        self.engine.finish();
         self.publish();
         let (_, snap) = self.reader.get();
         let mut out = String::new();
@@ -317,14 +293,6 @@ impl Shard {
             s.edges_added,
             s.amortized_latency()
         );
-        if let Some(auditor) = &self.auditor {
-            for v in &auditor.violations {
-                let _ = writeln!(out, "  VIOLATION: {v}");
-            }
-            if auditor.truncated {
-                let _ = writeln!(out, "  audit: further findings truncated");
-            }
-        }
         for v in &self.engine.report().violations {
             let _ = writeln!(out, "  VIOLATION: {v}");
         }

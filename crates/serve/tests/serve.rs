@@ -494,3 +494,27 @@ fn load_dir_serves_the_servable_subset_with_notices() {
         assert!(line.starts_with("epoch 1 stats "), "{line}");
     }
 }
+
+/// The same `no-heal` + `theorems` spec `tests/spec.rs` runs through
+/// `run --spec`, served: 40 deletions overflow the 16-finding cap, and
+/// the marker line is counted and rendered as `run --spec` does.
+#[test]
+fn served_theorem_findings_past_the_cap_end_in_the_marker() {
+    let mut cluster = Cluster::new(1);
+    let text = "graph = ba(64, 3)\nhealer = no-heal\nadversary = max-node\nseed = 3\n\
+                audit = theorems\n";
+    cluster.add_spec("noheal", &spec(text)).unwrap();
+    for v in 0..40 {
+        assert_eq!(cluster.handle_line(&format!("noheal delete {v}")), None);
+    }
+    cluster.handle_line("tick");
+    let stats = cluster.handle_line("query noheal stats").unwrap();
+    assert!(stats.contains(" deletions 40 ") && stats.contains(" violations 17 "));
+    let report = cluster.finish();
+    let findings: String = (5..21)
+        .map(|e| format!("  VIOLATION: event {e} (round {e}): G is disconnected\n"))
+        .collect();
+    assert!(report.starts_with("tenant noheal: healer no-heal  audit findings 17\n"));
+    let tail = format!("{findings}  VIOLATION: audit: further findings truncated\n");
+    assert!(report.ends_with(&tail), "{report}");
+}

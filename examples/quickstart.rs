@@ -57,12 +57,12 @@ fn main() {
         report.amortized_latency(),
         (n as f64).log2()
     );
-    println!("theorem violations:     {}", outcome.violations.len());
+    println!("theorem violations:     {}", report.violations.len());
 
     assert!(
         outcome.is_clean(),
         "a Theorem 1 bound or invariant broke: {:?}",
-        outcome.violations
+        report.violations
     );
     assert!(
         (report.max_delta_ever as f64) <= bound,

@@ -61,9 +61,9 @@ pub mod prelude {
     pub use selfheal_core::oracle::OracleDash;
     pub use selfheal_core::ring::RingForgiving;
     pub use selfheal_core::scenario::{
-        AuditLevel, AuditObserver, DegreeBatches, EventKind, EventRecord, EventRef, EventSource,
-        NetworkEvent, NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine,
-        ScenarioReport, ScriptedEvents,
+        AuditLevel, DegreeBatches, EventKind, EventRecord, EventRef, EventSource, NetworkEvent,
+        NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine, ScenarioReport,
+        ScriptedEvents,
     };
     pub use selfheal_core::sdash::Sdash;
     pub use selfheal_core::spec::{

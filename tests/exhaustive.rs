@@ -39,7 +39,7 @@ fn universe_up_to_five_is_clean_for_every_healer() {
     // Σ n! over graphs: 1 + 2 + 12 + 144 + 21·120 = 2679 per healer.
     assert_eq!(report.order_runs, 2679 * 8);
     assert_eq!(report.batch_runs, 31 * 2 * 8);
-    assert!(report.is_clean(), "{:#?}", report.violations);
+    assert!(report.is_clean(), "{:#?}", report.findings);
 }
 
 /// Tentpole attribution: the two new families alone, over the whole
@@ -66,7 +66,7 @@ fn new_families_alone_are_clean_over_the_whole_small_universe() {
     assert_eq!(report.healers, 2);
     assert_eq!(report.order_runs, 2679 * 2);
     assert_eq!(report.batch_runs, 31 * 2 * 2);
-    assert!(report.is_clean(), "{:#?}", report.violations);
+    assert!(report.is_clean(), "{:#?}", report.findings);
 }
 
 /// The explorer proves centralized/distributed parity over *every* DPOR
@@ -101,7 +101,7 @@ fn explorer_proves_two_batch_parity_with_exact_prune_accounting() {
             report.is_clean(),
             "{}: {:#?}",
             healer.name(),
-            report.violations
+            report.findings
         );
     }
 }

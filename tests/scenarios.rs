@@ -19,9 +19,9 @@ use selfheal_core::attack::{CutVertex, EpidemicChurn, FlashCrowd, RackPartition}
 use selfheal_core::dash::Dash;
 use selfheal_core::distributed::HealMode;
 use selfheal_core::distributed_runner::DistributedScenarioRunner;
-use selfheal_core::invariants::{self, TheoremAuditor};
+use selfheal_core::invariants;
 use selfheal_core::scenario::{
-    EventRecord, EventSource, NetworkEvent, ScenarioEngine, ScriptedEvents,
+    AuditLevel, EventRecord, EventSource, NetworkEvent, ScenarioEngine, ScriptedEvents,
 };
 use selfheal_core::sdash::Sdash;
 use selfheal_core::state::HealingNetwork;
@@ -129,7 +129,7 @@ fn check_distributed_parity<H: Healer>(
 }
 
 /// Drive one of the structural adversaries against a healer under the
-/// full [`TheoremAuditor`] — the library sources generate their own
+/// engine's Theorem 1 audit — the library sources generate their own
 /// schedules against the evolving network, so this fuzzes the adversary
 /// logic itself, not just blind event lists.
 fn check_adversary_source<H: Healer, S: EventSource>(
@@ -140,22 +140,21 @@ fn check_adversary_source<H: Healer, S: EventSource>(
     seed: u64,
 ) -> Result<(), String> {
     let g = barabasi_albert(n, 2, &mut StdRng::seed_from_u64(seed));
-    let mut auditor = TheoremAuditor::new(healer.preserves_forest());
     let mut engine = ScenarioEngine::new(
         HealingNetwork::new(g, seed),
         healer,
         ScriptedEvents::default(),
-    );
+    )
+    .with_audit(AuditLevel::Theorems);
     for _ in 0..max_events {
         let Some(event) = source.next_event(&engine.net) else {
             break;
         };
-        engine.apply_with(event.as_event_ref(), &mut auditor);
+        engine.apply(event);
     }
     let report = engine.finish();
-    auditor.finish(&engine.net, &report);
-    if !auditor.ok() {
-        return Err(format!("{}: {:?}", source.name(), auditor.violations));
+    if !report.violations.is_empty() {
+        return Err(format!("{}: {:?}", source.name(), report.violations));
     }
     Ok(())
 }

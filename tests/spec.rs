@@ -294,3 +294,18 @@ fn curated_specs_hold_parity() {
         }
     }
 }
+
+/// `run --spec` keeps the first 16 theorem findings of a `no-heal` run,
+/// then one marker line, and counts the marker among the violations.
+#[test]
+fn theorem_findings_past_the_cap_end_in_one_counted_marker() {
+    let text = "graph = ba(64, 3)\nhealer = no-heal\nadversary = max-node\nseed = 3\n\
+                audit = theorems\n";
+    let summary = selfheal_experiments::specrun::run_spec_text(text, None).unwrap();
+    assert!(!summary.clean());
+    let findings: String = (8..24)
+        .map(|e| format!("  VIOLATION: event {e} (round {e}): G is disconnected\n"))
+        .collect();
+    let tail = format!("violations 17\n{findings}  VIOLATION: audit: further findings truncated\n");
+    assert!(summary.render().ends_with(&tail), "{}", summary.render());
+}

@@ -237,7 +237,7 @@ fn fleet_reports_violations_with_seeds() {
         engine.apply_with(EventRef::Delete(v), &mut auditor);
     }
     assert!(!auditor.ok());
-    assert!(auditor.violations[0].contains("theorem 1.1"));
+    assert!(auditor.findings.kept()[0].contains("theorem 1.1"));
 }
 
 /// Drive two same-seeded copies of a source against one evolving network:

@@ -1,32 +1,30 @@
 //! The paper's theorems and lemmas as cross-crate integration tests.
 //!
-//! Theorem 1's four bullets are enforced by the reusable
-//! [`TheoremAuditor`] — the same observer every sweep-fleet run carries —
-//! so these tests both validate the theorem *and* pin the auditor to the
-//! strict per-bullet assertions this file used to hand-roll.
+//! Theorem 1's four bullets are enforced by the engine's
+//! `AuditLevel::Theorems` audit — the same theorem auditor every
+//! sweep-fleet run carries — so these tests both validate the theorem
+//! *and* pin the auditor to the strict per-bullet assertions this file
+//! used to hand-roll.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::attack::{Adversary, MaxNode, NeighborOfMax};
 use selfheal_core::dash::Dash;
-use selfheal_core::invariants::TheoremAuditor;
 use selfheal_core::levelattack::run_level_attack;
 use selfheal_core::naive::LineHeal;
-use selfheal_core::scenario::ScenarioEngine;
+use selfheal_core::scenario::{AuditLevel, ScenarioEngine, ScenarioReport};
 use selfheal_core::state::HealingNetwork;
 use selfheal_core::strategy::Healer;
 use selfheal_graph::generators;
 use selfheal_graph::NodeId;
 
-/// Run DASH against `adversary` to empty under the full auditor and
-/// return (auditor, final max-delta) for bullet-specific assertions.
-fn audited_sweep<A: Adversary>(n: usize, seed: u64, adversary: A) -> (TheoremAuditor, i64) {
+/// Run DASH against `adversary` to empty under the engine's Theorem 1
+/// audit and return the report for bullet-specific assertions.
+fn audited_sweep<A: Adversary>(n: usize, seed: u64, adversary: A) -> ScenarioReport {
     let g = generators::barabasi_albert(n, 3, &mut StdRng::seed_from_u64(seed));
-    let mut auditor = TheoremAuditor::new(Dash.preserves_forest());
-    let mut engine = ScenarioEngine::new(HealingNetwork::new(g, seed), Dash, adversary);
-    let report = engine.run_to_empty_with(&mut auditor);
-    auditor.finish(&engine.net, &report);
-    (auditor, report.max_delta_ever)
+    ScenarioEngine::new(HealingNetwork::new(g, seed), Dash, adversary)
+        .with_audit(AuditLevel::Theorems)
+        .run_to_empty()
 }
 
 /// Theorem 1, bullet 1: degree increase at most 2 log₂ n — across sizes
@@ -36,9 +34,10 @@ fn audited_sweep<A: Adversary>(n: usize, seed: u64, adversary: A) -> (TheoremAud
 fn theorem1_degree_bound_across_sizes() {
     for n in [32usize, 64, 128, 256] {
         for seed in [1u64, 2, 3] {
-            let (auditor, max_delta) = audited_sweep(n, seed, NeighborOfMax::new(seed));
-            assert!(auditor.ok(), "n={n} seed={seed}: {:?}", auditor.violations);
-            assert!((max_delta as f64) <= 2.0 * (n as f64).log2());
+            let report = audited_sweep(n, seed, NeighborOfMax::new(seed));
+            let found = &report.violations;
+            assert!(found.is_empty(), "n={n} seed={seed}: {found:?}");
+            assert!((report.max_delta_ever as f64) <= 2.0 * (n as f64).log2());
         }
     }
 }
@@ -48,8 +47,8 @@ fn theorem1_degree_bound_across_sizes() {
 #[test]
 fn theorem1_id_changes_bound() {
     for seed in 0..10u64 {
-        let (auditor, _) = audited_sweep(128, seed, MaxNode);
-        assert!(auditor.ok(), "seed={seed}: {:?}", auditor.violations);
+        let found = audited_sweep(128, seed, MaxNode).violations;
+        assert!(found.is_empty(), "seed={seed}: {found:?}");
     }
 }
 
@@ -65,11 +64,11 @@ fn theorem1_message_bound_per_node() {
         let n = 128;
         let g = generators::barabasi_albert(n, 3, &mut StdRng::seed_from_u64(seed));
         let initial_degrees: Vec<usize> = (0..n).map(|i| g.degree(NodeId::from_index(i))).collect();
-        let mut auditor = TheoremAuditor::new(true);
         let mut engine =
-            ScenarioEngine::new(HealingNetwork::new(g, seed), Dash, NeighborOfMax::new(seed));
-        engine.run_to_empty_with(&mut auditor);
-        assert!(auditor.ok(), "seed={seed}: {:?}", auditor.violations);
+            ScenarioEngine::new(HealingNetwork::new(g, seed), Dash, NeighborOfMax::new(seed))
+                .with_audit(AuditLevel::Theorems);
+        let found = engine.run_to_empty().violations;
+        assert!(found.is_empty(), "seed={seed}: {found:?}");
         // Spot-check the raw quantities against the bound the auditor
         // applied, so the auditor itself stays honest.
         let logn = (n as f64).log2();
@@ -88,8 +87,8 @@ fn theorem1_message_bound_per_node() {
 #[test]
 fn theorem1_amortized_latency() {
     for seed in [1u64, 4] {
-        let (auditor, _) = audited_sweep(256, seed, MaxNode);
-        assert!(auditor.ok(), "seed={seed}: {:?}", auditor.violations);
+        let found = audited_sweep(256, seed, MaxNode).violations;
+        assert!(found.is_empty(), "seed={seed}: {found:?}");
     }
 }
 
