@@ -29,13 +29,16 @@ test-all:
 bench:
 	$(CARGO) bench -p selfheal-bench
 
-## Smoke-run the scenario throughput bench. The bench asserts its own
-## structure (run-to-empty round counts, steady-state broadcast agreement
-## between the scratch-buffer and allocating baselines), so a panic here
-## means the allocation-free hot loop regressed. Offline-safe: the
-## vendored criterion stand-in hard-caps runtimes.
+## Smoke-run the scenario and scale throughput benches. Each asserts its
+## own structure: `scenario` the run-to-empty round counts and the
+## steady-state broadcast agreement between the scratch-buffer and
+## allocating baselines, `scale_throughput` the chunk pool, degree-bucket
+## and Fenwick live-rank structures behind `Graph`. So a panic here means
+## the allocation-free hot loop or one of those structures regressed.
+## Offline-safe: the vendored criterion stand-in hard-caps runtimes.
 bench-check:
 	$(CARGO) bench -p selfheal-bench --bench scenario
+	$(CARGO) bench -p selfheal-bench --bench scale_throughput
 
 ## Record a new perf baseline: run the whole bench suite with the
 ## criterion stand-in's JSONL export enabled, then merge every group's

@@ -162,7 +162,8 @@ fn steady_state_churn_allocates_only_for_new_node_slots() {
 
     // Warm-up as in the delete-only test, then 4096 mixed events, about a
     // third of them joins. A join adds a node slot to every per-node
-    // array (adjacency, G's degree and live indexes, ids, counters); those
+    // array (the adjacency handles, G's degree and live indexes, the slot
+    // records, the message counters, the broadcast stamps); those
     // grow by doubling, so across the block they may allocate a few dozen
     // times in all. Anything per join — the join's target list, say —
     // would cost over a thousand.

@@ -42,7 +42,8 @@ impl Healer for Dash {
         out.clear();
         let mut scratch = net.take_heal_scratch();
         rt::reconstruction_set_into(net, ctx, &mut scratch.tagged, &mut out.rt_members);
-        rt::order_by_delta_into(net, &out.rt_members, &mut scratch.ordered);
+        rt::delta_keys_into(net, &out.rt_members, &mut scratch.keyed);
+        rt::order_keys_into(&mut scratch.keyed, &mut scratch.ordered);
         rt::connect_binary_tree_into(net, &scratch.ordered, &mut out.edges_added);
         net.put_heal_scratch(scratch);
     }

@@ -92,18 +92,36 @@ pub fn reconstruction_set_into(
 /// the lowest-δ node becomes the root and the highest-δ nodes become
 /// leaves (which gain at most one edge).
 pub fn order_by_delta(net: &HealingNetwork, members: &[NodeId]) -> Vec<NodeId> {
+    let mut keys = Vec::new();
     let mut ordered = Vec::new();
-    order_by_delta_into(net, members, &mut ordered);
+    delta_keys_into(net, members, &mut keys);
+    order_keys_into(&mut keys, &mut ordered);
     ordered
 }
 
-/// [`order_by_delta`] into a caller-owned buffer (cleared first). The
-/// `(δ, initial_id)` keys are distinct per node (initial IDs are unique),
-/// so the unstable sort is deterministic.
-pub fn order_by_delta_into(net: &HealingNetwork, members: &[NodeId], out: &mut Vec<NodeId>) {
+/// The `(δ, initial_id, node)` sort key of each member, computed once per
+/// member, into a caller-owned buffer (cleared first).
+pub fn delta_keys_into(
+    net: &HealingNetwork,
+    members: &[NodeId],
+    keys: &mut Vec<(i64, u64, NodeId)>,
+) {
+    keys.clear();
+    keys.extend(
+        members
+            .iter()
+            .map(|&v| (net.delta(v), net.initial_id(v), v)),
+    );
+}
+
+/// [`order_by_delta`] on caller-owned buffers: sort the
+/// [`delta_keys_into`] keys and write their nodes, in that order, into
+/// `out` (cleared first). The `(δ, initial_id)` prefixes are distinct
+/// (initial IDs are unique), so the unstable sort is deterministic.
+pub fn order_keys_into(keys: &mut [(i64, u64, NodeId)], out: &mut Vec<NodeId>) {
+    keys.sort_unstable();
     out.clear();
-    out.extend_from_slice(members);
-    out.sort_unstable_by_key(|&v| (net.delta(v), net.initial_id(v)));
+    out.extend(keys.iter().map(|&(_, _, v)| v));
 }
 
 /// Wire `ordered` into a complete binary tree, adding each edge to both

@@ -23,22 +23,16 @@ use selfheal_graph::NodeId;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sdash;
 
-/// Find the surrogate candidate: the member `w` minimizing
+/// Find the surrogate candidate among the members' `(δ, initial_id,
+/// node)` keys ([`rt::delta_keys_into`]): the member `w` minimizing
 /// `(δ(w), initial_id(w))` that satisfies the Algorithm 3 condition, if
-/// any.
-fn surrogate_candidate(net: &HealingNetwork, members: &[NodeId]) -> Option<NodeId> {
-    if members.len() < 2 {
-        return members.first().copied();
-    }
-    // panic-ok: the `members.len() < 2` case returned above, so the max
-    // over a non-empty iterator exists.
-    let max_delta = members.iter().map(|&v| net.delta(v)).max().unwrap();
-    let extra = members.len() as i64 - 1;
-    members
-        .iter()
-        .copied()
-        .filter(|&w| net.delta(w) + extra <= max_delta)
-        .min_by_key(|&w| (net.delta(w), net.initial_id(w)))
+/// any. The condition only bounds `δ(w)` from above, so if any member
+/// meets it, the member with the least key does.
+fn surrogate_candidate(keys: &[(i64, u64, NodeId)]) -> Option<NodeId> {
+    let max_delta = keys.iter().map(|&(delta, _, _)| delta).max()?;
+    let extra = keys.len() as i64 - 1;
+    let &(delta, _, w) = keys.iter().min()?;
+    (delta + extra <= max_delta).then_some(w)
 }
 
 impl Healer for Sdash {
@@ -59,7 +53,8 @@ impl Healer for Sdash {
         let mut scratch = net.take_heal_scratch();
         rt::reconstruction_set_into(net, ctx, &mut scratch.tagged, &mut out.rt_members);
         if out.rt_members.len() >= 2 {
-            if let Some(w) = surrogate_candidate(net, &out.rt_members) {
+            rt::delta_keys_into(net, &out.rt_members, &mut scratch.keyed);
+            if let Some(w) = surrogate_candidate(&scratch.keyed) {
                 for &u in &out.rt_members {
                     if u == w {
                         continue;
@@ -73,7 +68,7 @@ impl Healer for Sdash {
                 }
                 out.surrogate = Some(w);
             } else {
-                rt::order_by_delta_into(net, &out.rt_members, &mut scratch.ordered);
+                rt::order_keys_into(&mut scratch.keyed, &mut scratch.ordered);
                 rt::connect_binary_tree_into(net, &scratch.ordered, &mut out.edges_added);
             }
         }
@@ -174,9 +169,37 @@ mod tests {
         net.add_heal_edge(NodeId(1), NodeId(3)).unwrap();
         // δ(1) = 2, others 0. Members {4, 5} have slack.
         let members = vec![NodeId(1), NodeId(4), NodeId(5)];
-        let w = surrogate_candidate(&net, &members).unwrap();
+        let mut keys = Vec::new();
+        rt::delta_keys_into(&net, &members, &mut keys);
+        let w = surrogate_candidate(&keys).unwrap();
         assert!(w == NodeId(4) || w == NodeId(5));
         assert_ne!(w, NodeId(1));
+    }
+
+    #[test]
+    fn surrogate_candidate_matches_the_filtered_minimum() {
+        // Every δ assignment in -1..=3 over one to four members, with
+        // distinct initial IDs: the least key is the candidate exactly
+        // when Algorithm 3's filter, then its minimum, would pick it.
+        let reference = |keys: &[(i64, u64, NodeId)]| {
+            let max_delta = keys.iter().map(|k| k.0).max()?;
+            let extra = keys.len() as i64 - 1;
+            keys.iter()
+                .filter(|k| k.0 + extra <= max_delta)
+                .min_by_key(|k| (k.0, k.1))
+                .map(|k| k.2)
+        };
+        for len in 1..=4u32 {
+            for code in 0..5u32.pow(len) {
+                let keys: Vec<(i64, u64, NodeId)> = (0..len)
+                    .map(|i| {
+                        let delta = (code / 5u32.pow(i) % 5) as i64 - 1;
+                        (delta, u64::from(len - i), NodeId(i))
+                    })
+                    .collect();
+                assert_eq!(surrogate_candidate(&keys), reference(&keys), "{keys:?}");
+            }
+        }
     }
 
     #[test]

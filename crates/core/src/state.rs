@@ -79,14 +79,14 @@ impl PropagationReport {
 /// BFS. `stamp[v] == epoch` marks `v` as visited in the current broadcast,
 /// so nothing is cleared between rounds — a fresh epoch invalidates every
 /// old entry in O(1), and the vectors/queue keep their capacity. This is
-/// what makes steady-state broadcast rounds allocation-free.
+/// what makes steady-state broadcast rounds allocation-free. Each queued
+/// node carries its BFS depth, so no per-node depth array is needed.
 #[derive(Clone, Debug, Default)]
 struct PropagationScratch {
     epoch: u32,
     stamp: Vec<u32>,
-    depth: Vec<u32>,
-    queue: std::collections::VecDeque<NodeId>,
-    reached: Vec<NodeId>,
+    queue: std::collections::VecDeque<(NodeId, u32)>,
+    reached: Vec<(NodeId, u32)>,
 }
 
 impl PropagationScratch {
@@ -96,7 +96,6 @@ impl PropagationScratch {
     fn begin(&mut self, n: usize) -> u32 {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
-            self.depth.resize(n, 0);
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
@@ -122,6 +121,10 @@ impl PropagationScratch {
 pub struct HealScratch {
     /// `(comp_id, initial_id, node)` tags for unique-neighbor selection.
     pub tagged: Vec<(u64, u64, NodeId)>,
+    /// `(δ, initial_id, node)` keys of the reconstruction-set members,
+    /// computed once per member and shared by SDASH's surrogate search
+    /// and the δ order.
+    pub keyed: Vec<(i64, u64, NodeId)>,
     /// δ-ordered reconstruction-set members for binary-tree wiring.
     pub ordered: Vec<NodeId>,
 }
@@ -151,6 +154,25 @@ impl TouchLog {
     }
 }
 
+/// The per-node fields that a deletion, a heal and a broadcast read and
+/// write together, in one 32-byte record: two slots per cache line, so an
+/// event touching a node misses once, not once per field. The message
+/// counters, which start at zero and only a broadcast bumps, stay in a
+/// vector of their own (see [`HealingNetwork`]).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    comp_id: u64,
+    initial_id: u64,
+    weight: u64,
+    initial_degree: u32,
+    id_changes: u32,
+}
+
+/// Index of the sent count in a node's message counters.
+const SENT: usize = 0;
+/// Index of the received count in a node's message counters.
+const RECV: usize = 1;
+
 /// The mutable state of a self-healing simulation.
 ///
 /// Strategies mutate it only through [`HealingNetwork::delete_node`],
@@ -171,16 +193,15 @@ impl TouchLog {
 pub struct HealingNetwork {
     g: Graph,
     gp: Graph,
-    initial_degree: Vec<u32>,
-    initial_id: Vec<u64>,
-    comp_id: Vec<u64>,
-    weight: Vec<u64>,
+    /// The hot per-node record, indexed by slot.
+    slots: Vec<Slot>,
+    /// Messages `[SENT, RECV]` per slot. Every count starts at zero, so
+    /// the vector is built zeroed (`vec![[0; 2]; n]`, a zeroing
+    /// allocation) and its pages are only touched by broadcasts.
+    msgs: Vec<[u64; 2]>,
     n_initial: usize,
     total_created: usize,
     weight_lost: u64,
-    id_changes: Vec<u32>,
-    msgs_sent: Vec<u64>,
-    msgs_recv: Vec<u64>,
     scratch: PropagationScratch,
     heal_scratch: HealScratch,
     touched: TouchLog,
@@ -199,24 +220,32 @@ impl HealingNetwork {
             n,
             "initial graph must have all nodes alive"
         );
-        let mut ids: Vec<u64> = (0..n as u64).collect();
+        // The records are reserved before the temporary permutation, and
+        // the permutation is freed before the other vectors are built:
+        // in a loop that builds and drops networks, this order keeps
+        // glibc's heap from being trimmed between builds and faulted in
+        // again (see ARCHITECTURE.md, "Memory layout"). Slot indices fit
+        // in `u32`, so the permutation is shuffled at half the width of
+        // the IDs it yields: the same swaps, the same ranks.
+        let mut slots = Vec::with_capacity(n);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
         SplitMix64::new(seed).shuffle(&mut ids);
-        let initial_degree = (0..n)
-            .map(|i| graph.degree(NodeId::from_index(i)) as u32)
-            .collect();
+        slots.extend(ids.iter().enumerate().map(|(i, &id)| Slot {
+            comp_id: u64::from(id),
+            initial_id: u64::from(id),
+            weight: 1,
+            initial_degree: graph.degree(NodeId::from_index(i)) as u32,
+            id_changes: 0,
+        }));
+        drop(ids);
         HealingNetwork {
             gp: Graph::new(n),
             g: graph,
-            initial_degree,
-            comp_id: ids.clone(),
-            initial_id: ids,
-            weight: vec![1; n],
+            slots,
+            msgs: vec![[0; 2]; n],
             n_initial: n,
             total_created: n,
             weight_lost: 0,
-            id_changes: vec![0; n],
-            msgs_sent: vec![0; n],
-            msgs_recv: vec![0; n],
             scratch: PropagationScratch::default(),
             heal_scratch: HealScratch::default(),
             touched: TouchLog {
@@ -302,13 +331,14 @@ impl HealingNetwork {
         }
         let fresh_id = self.total_created as u64;
         self.total_created += 1;
-        self.initial_degree.push(neighbors.len() as u32);
-        self.initial_id.push(fresh_id);
-        self.comp_id.push(fresh_id);
-        self.weight.push(1);
-        self.id_changes.push(0);
-        self.msgs_sent.push(0);
-        self.msgs_recv.push(0);
+        self.slots.push(Slot {
+            comp_id: fresh_id,
+            initial_id: fresh_id,
+            weight: 1,
+            initial_degree: neighbors.len() as u32,
+            id_changes: 0,
+        });
+        self.msgs.push([0; 2]);
         self.touched.touch(v);
         Ok(v)
     }
@@ -320,12 +350,12 @@ impl HealingNetwork {
 
     /// Initial degree of `v` in the starting network.
     pub fn initial_degree(&self, v: NodeId) -> u32 {
-        self.initial_degree[v.index()]
+        self.slots[v.index()].initial_degree
     }
 
     /// Initial (immutable) random ID rank of `v`.
     pub fn initial_id(&self, v: NodeId) -> u64 {
-        self.initial_id[v.index()]
+        self.slots[v.index()].initial_id
     }
 
     /// Current component ID of `v` (minimum initial ID broadcast through
@@ -337,18 +367,18 @@ impl HealingNetwork {
     /// `StateSnapshot::capture` relies on this to count components in a
     /// vector indexed by ID.
     pub fn comp_id(&self, v: NodeId) -> u64 {
-        self.comp_id[v.index()]
+        self.slots[v.index()].comp_id
     }
 
     /// Degree increase `δ(v)` relative to the initial degree. Negative
     /// when `v` has lost more incident edges than healing re-added.
     pub fn delta(&self, v: NodeId) -> i64 {
-        self.g.degree(v) as i64 - self.initial_degree[v.index()] as i64
+        self.g.degree(v) as i64 - i64::from(self.slots[v.index()].initial_degree)
     }
 
     /// Analysis weight `w(v)`.
     pub fn weight(&self, v: NodeId) -> u64 {
-        self.weight[v.index()]
+        self.slots[v.index()].weight
     }
 
     /// Total weight lost to deletions of fully isolated nodes (nodes with
@@ -359,24 +389,25 @@ impl HealingNetwork {
 
     /// Number of times `v`'s component ID decreased.
     pub fn id_changes(&self, v: NodeId) -> u32 {
-        self.id_changes[v.index()]
+        self.slots[v.index()].id_changes
     }
 
     /// ID-maintenance messages sent by `v` (Lemma 8 accounting: every ID
     /// change broadcasts to all current `G` neighbors).
     pub fn messages_sent(&self, v: NodeId) -> u64 {
-        self.msgs_sent[v.index()]
+        self.msgs[v.index()][SENT]
     }
 
     /// ID-maintenance messages received by `v`.
     pub fn messages_received(&self, v: NodeId) -> u64 {
-        self.msgs_recv[v.index()]
+        self.msgs[v.index()][RECV]
     }
 
     /// Sent + received for `v` — the quantity Theorem 1 bounds by
     /// `2 (d + 2 log n) ln n`.
     pub fn traffic(&self, v: NodeId) -> u64 {
-        self.msgs_sent[v.index()] + self.msgs_recv[v.index()]
+        let [sent, recv] = self.msgs[v.index()];
+        sent + recv
     }
 
     /// Maximum `δ(v)` over live nodes (0 for an empty network).
@@ -418,7 +449,7 @@ impl HealingNetwork {
     ) -> Result<(), GraphError> {
         self.g.check_alive(v)?;
         ctx.deleted = v;
-        ctx.deleted_comp_id = self.comp_id[v.index()];
+        ctx.deleted_comp_id = self.slots[v.index()].comp_id;
         // G′ ⊆ G, so size the G′ list by the G degree: both lists then
         // reach their high-water mark with the largest G degree deleted,
         // not with whichever victim first had many healing edges.
@@ -435,9 +466,9 @@ impl HealingNetwork {
             .first()
             .or_else(|| ctx.g_neighbors.first())
             .copied();
-        let w = std::mem::take(&mut self.weight[v.index()]);
+        let w = std::mem::take(&mut self.slots[v.index()].weight);
         match heir {
-            Some(h) => self.weight[h.index()] += w,
+            Some(h) => self.slots[h.index()].weight += w,
             None => self.weight_lost += w,
         }
         Ok(())
@@ -477,44 +508,38 @@ impl HealingNetwork {
         for &s in seeds {
             if self.gp.is_alive(s) && scratch.stamp[s.index()] != epoch {
                 scratch.stamp[s.index()] = epoch;
-                scratch.depth[s.index()] = 0;
-                scratch.queue.push_back(s);
+                scratch.queue.push_back((s, 0));
             }
         }
         if scratch.queue.is_empty() {
             return report;
         }
-        while let Some(v) = scratch.queue.pop_front() {
-            scratch.reached.push(v);
+        while let Some((v, depth)) = scratch.queue.pop_front() {
+            scratch.reached.push((v, depth));
             for &u in self.gp.neighbors(v) {
                 if scratch.stamp[u.index()] != epoch {
                     scratch.stamp[u.index()] = epoch;
-                    scratch.depth[u.index()] = scratch.depth[v.index()] + 1;
-                    scratch.queue.push_back(u);
+                    scratch.queue.push_back((u, depth + 1));
                 }
             }
         }
         let min_id = scratch
             .reached
             .iter()
-            .map(|&v| self.comp_id[v.index()])
+            .map(|&(v, _)| self.slots[v.index()].comp_id)
             .min()
             // panic-ok: the empty-reach case returned above, so the
             // minimum over a non-empty traversal exists.
             .unwrap();
-        for &v in &scratch.reached {
-            if self.comp_id[v.index()] > min_id {
-                self.comp_id[v.index()] = min_id;
+        for &(v, depth) in &scratch.reached {
+            let slot = &mut self.slots[v.index()];
+            if slot.comp_id > min_id {
+                slot.comp_id = min_id;
+                slot.id_changes += 1;
                 self.touched.touch(v);
-                self.id_changes[v.index()] += 1;
                 report.changed += 1;
-                report.latency = report.latency.max(scratch.depth[v.index()] as u64);
-                let deg = self.g.degree(v) as u64;
-                self.msgs_sent[v.index()] += deg;
-                report.messages += deg;
-                for &u in self.g.neighbors(v) {
-                    self.msgs_recv[u.index()] += 1;
-                }
+                report.latency = report.latency.max(u64::from(depth));
+                report.messages += count_messages(&self.g, &mut self.msgs, v);
             }
         }
         report
@@ -552,7 +577,7 @@ impl HealingNetwork {
         for &s in seeds {
             if self.gp.is_alive(s) {
                 any_live = true;
-                min_id = min_id.min(self.comp_id[s.index()]);
+                min_id = min_id.min(self.slots[s.index()].comp_id);
             }
         }
         if !any_live {
@@ -563,36 +588,42 @@ impl HealingNetwork {
         // nodes the exact broadcast would change, at the same depths.
         for &s in seeds {
             if self.gp.is_alive(s)
-                && self.comp_id[s.index()] > min_id
+                && self.slots[s.index()].comp_id > min_id
                 && scratch.stamp[s.index()] != epoch
             {
                 scratch.stamp[s.index()] = epoch;
-                scratch.depth[s.index()] = 0;
-                scratch.queue.push_back(s);
+                scratch.queue.push_back((s, 0));
             }
         }
-        while let Some(v) = scratch.queue.pop_front() {
-            self.comp_id[v.index()] = min_id;
+        while let Some((v, depth)) = scratch.queue.pop_front() {
+            let slot = &mut self.slots[v.index()];
+            slot.comp_id = min_id;
+            slot.id_changes += 1;
             self.touched.touch(v);
-            self.id_changes[v.index()] += 1;
             report.changed += 1;
-            report.latency = report.latency.max(scratch.depth[v.index()] as u64);
-            let deg = self.g.degree(v) as u64;
-            self.msgs_sent[v.index()] += deg;
-            report.messages += deg;
-            for &u in self.g.neighbors(v) {
-                self.msgs_recv[u.index()] += 1;
-            }
+            report.latency = report.latency.max(u64::from(depth));
+            report.messages += count_messages(&self.g, &mut self.msgs, v);
             for &u in self.gp.neighbors(v) {
-                if scratch.stamp[u.index()] != epoch && self.comp_id[u.index()] > min_id {
+                if scratch.stamp[u.index()] != epoch && self.slots[u.index()].comp_id > min_id {
                     scratch.stamp[u.index()] = epoch;
-                    scratch.depth[u.index()] = scratch.depth[v.index()] + 1;
-                    scratch.queue.push_back(u);
+                    scratch.queue.push_back((u, depth + 1));
                 }
             }
         }
         report
     }
+}
+
+/// Lemma 8's accounting for one ID change at `v`: `v` sends one message
+/// to each current `G` neighbor, and each of them receives one. Returns
+/// the number sent.
+fn count_messages(g: &Graph, msgs: &mut [[u64; 2]], v: NodeId) -> u64 {
+    let deg = g.degree(v) as u64;
+    msgs[v.index()][SENT] += deg;
+    for &u in g.neighbors(v) {
+        msgs[u.index()][RECV] += 1;
+    }
+    deg
 }
 
 #[cfg(test)]
@@ -846,6 +877,11 @@ mod tests {
         // the fast path trusts the seed's (stale) component ID.
         assert_eq!(re.changed, 2);
         assert_eq!(rf.changed, 0);
+    }
+
+    #[test]
+    fn the_slot_record_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
     }
 
     #[test]

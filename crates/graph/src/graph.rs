@@ -31,7 +31,7 @@ use crate::ids::{Edge, NodeId};
 use crate::pool::{AdjPool, ChunkRef};
 use std::sync::OnceLock;
 // Under `--cfg loom` the hint atomics become the model checker's mocks,
-// so every load/store/fetch_max below is an explored schedule point
+// so every load and store below is an explored schedule point
 // (`make loom-check`; see vendor/loom and crates/graph/tests/loom.rs).
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicUsize, Ordering};
@@ -88,8 +88,8 @@ impl DegreeIndex {
     /// Index the live nodes of `adj` by a counting sort: size every bucket
     /// first, reserve one exactly-sized chunk each, then fill them in id
     /// order. The allocation count is constant, whatever the graph's size.
-    fn build(adj: &[ChunkRef], alive: &[bool]) -> Self {
-        let live = || (0..adj.len()).filter(|&i| alive[i]);
+    fn build(adj: &[ChunkRef]) -> Self {
+        let live = || (0..adj.len()).filter(|&i| adj[i].is_live());
         let hi = live().map(|i| adj[i].len()).max().unwrap_or(0);
         let mut lens = vec![0u32; hi + 1];
         for i in live() {
@@ -127,12 +127,19 @@ impl DegreeIndex {
         self.pos[v.index()] = bucket.len() as u32;
         self.pool.push(bucket, v);
         // relaxed-ok: insert holds `&mut self`, so no query races this
-        // store; fetch_max/fetch_min keep the hints conservative
-        // (`max_hint ≥` true max, `min_hint ≤` true min) and the loom
-        // model checks the full hint protocol under `make loom-check`.
-        self.max_hint.fetch_max(d, Ordering::Relaxed);
+        // load or the store below, and a plain read-compare-write keeps
+        // the hints conservative (`max_hint ≥` true max, `min_hint ≤`
+        // true min) without a locked read-modify-write; the loom model
+        // checks the full hint protocol under `make loom-check`.
+        if d > self.max_hint.load(Ordering::Relaxed) {
+            // relaxed-ok: as above, `&mut self` excludes every racer.
+            self.max_hint.store(d, Ordering::Relaxed);
+        }
         // relaxed-ok: as above.
-        self.min_hint.fetch_min(d, Ordering::Relaxed);
+        if d < self.min_hint.load(Ordering::Relaxed) {
+            // relaxed-ok: as above.
+            self.min_hint.store(d, Ordering::Relaxed);
+        }
     }
 
     fn remove(&mut self, v: NodeId, d: usize) {
@@ -226,7 +233,7 @@ impl DegreeIndex {
     }
 }
 
-/// Fenwick (binary-indexed) tree over the alive bits, for O(log n)
+/// Fenwick (binary-indexed) tree over the liveness flags, for O(log n)
 /// rank/select on live nodes. Grows by doubling with an O(n) rebuild.
 #[derive(Clone, Debug)]
 struct LiveIndex {
@@ -236,11 +243,12 @@ struct LiveIndex {
 }
 
 impl LiveIndex {
-    /// Linear-time build over the alive bits with capacity `cap`.
-    fn new(cap: usize, alive: &[bool]) -> Self {
+    /// Linear-time build over the slots' liveness flags with capacity
+    /// `cap`.
+    fn new(cap: usize, adj: &[ChunkRef]) -> Self {
         let mut tree = vec![0u32; cap + 1];
-        for (i, &a) in alive.iter().enumerate() {
-            tree[i + 1] = u32::from(a);
+        for (i, r) in adj.iter().enumerate() {
+            tree[i + 1] = u32::from(r.is_live());
         }
         for i in 1..=cap {
             let j = i + (i & i.wrapping_neg());
@@ -301,10 +309,9 @@ impl LiveIndex {
 pub struct Graph {
     /// One arena backing every neighbor list (see [`crate::pool`]).
     pool: AdjPool,
-    /// Per-slot chunk handle (dead slots hold the empty handle).
+    /// Per-slot chunk handle, which also holds the slot's liveness flag
+    /// (dead slots hold the empty, not-live handle).
     adj: Vec<ChunkRef>,
-    /// Liveness flag per slot.
-    alive: Vec<bool>,
     /// Number of live nodes.
     live_count: usize,
     /// Number of live edges.
@@ -321,8 +328,7 @@ impl Graph {
     /// Create a graph with `n` live, isolated nodes (ids `0..n`).
     pub fn new(n: usize) -> Self {
         Graph {
-            adj: vec![ChunkRef::default(); n],
-            alive: vec![true; n],
+            adj: vec![ChunkRef::LIVE; n],
             live_count: n,
             ..Graph::default()
         }
@@ -364,34 +370,31 @@ impl Graph {
     /// Whether node `v` is currently live.
     #[inline]
     pub fn is_alive(&self, v: NodeId) -> bool {
-        self.contains(v) && self.alive[v.index()]
+        self.adj.get(v.index()).is_some_and(ChunkRef::is_live)
     }
 
     /// Validate that `v` is an allocated, live node.
     #[inline]
     pub fn check_alive(&self, v: NodeId) -> Result<()> {
-        if !self.contains(v) {
-            Err(GraphError::NodeOutOfRange(v))
-        } else if !self.alive[v.index()] {
-            Err(GraphError::NodeDead(v))
-        } else {
-            Ok(())
+        match self.adj.get(v.index()) {
+            None => Err(GraphError::NodeOutOfRange(v)),
+            Some(r) if !r.is_live() => Err(GraphError::NodeDead(v)),
+            Some(_) => Ok(()),
         }
     }
 
     /// Allocate a fresh live node and return its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::from_index(self.adj.len());
-        self.adj.push(ChunkRef::default());
-        self.alive.push(true);
+        self.adj.push(ChunkRef::LIVE);
         self.live_count += 1;
         if let Some(degrees) = self.degrees.get_mut() {
             degrees.push_node(id);
         }
         if let Some(index) = self.live_index.get_mut() {
-            if self.alive.len() > index.cap {
-                let cap = (index.cap * 2).max(self.alive.len()).max(16);
-                *index = LiveIndex::new(cap, &self.alive);
+            if self.adj.len() > index.cap {
+                let cap = (index.cap * 2).max(self.adj.len()).max(16);
+                *index = LiveIndex::new(cap, &self.adj);
             } else {
                 index.add(id.index(), 1);
             }
@@ -531,7 +534,8 @@ impl Graph {
         // Release the dead slot's chunk to the pool's free list:
         // tombstoned nodes never come back, so the chunk is immediately
         // reusable and the arena's high-water mark stays bounded by the
-        // peak live adjacency.
+        // peak live adjacency. The cleared handle is not live: this is
+        // the tombstone.
         let mut r = self.adj[v.index()];
         self.pool.clear(&mut r);
         self.adj[v.index()] = r;
@@ -557,7 +561,6 @@ impl Graph {
             }
         }
         self.edge_count -= neighbors.len();
-        self.alive[v.index()] = false;
         self.live_count -= 1;
         if let Some(live_index) = self.live_index.get_mut() {
             live_index.add(v.index(), -1);
@@ -567,10 +570,10 @@ impl Graph {
 
     /// Iterator over the ids of all live nodes, in increasing order.
     pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
+        self.adj
             .iter()
             .enumerate()
-            .filter(|(_, &a)| a)
+            .filter(|(_, r)| r.is_live())
             .map(|(i, _)| NodeId::from_index(i))
     }
 
@@ -598,7 +601,7 @@ impl Graph {
         }
         let index = self
             .live_index
-            .get_or_init(|| LiveIndex::new(self.alive.len(), &self.alive));
+            .get_or_init(|| LiveIndex::new(self.adj.len(), &self.adj));
         Some(NodeId::from_index(index.select(k)))
     }
 
@@ -656,8 +659,7 @@ impl Graph {
 
     /// The degree index, built on first use.
     fn degree_index(&self) -> &DegreeIndex {
-        self.degrees
-            .get_or_init(|| DegreeIndex::build(&self.adj, &self.alive))
+        self.degrees.get_or_init(|| DegreeIndex::build(&self.adj))
     }
 
     /// Sum of degrees over all live nodes (= `2 * edge_count`).
@@ -674,7 +676,7 @@ impl Graph {
         for (i, r) in self.adj.iter().enumerate() {
             let v = NodeId::from_index(i);
             let nbrs = self.pool.slice(r);
-            if self.alive[i] {
+            if r.is_live() {
                 live += 1;
             } else if !nbrs.is_empty() {
                 return Err(GraphError::NodeDead(v));
@@ -716,7 +718,7 @@ impl Graph {
             degrees.validate(self)?;
         }
         if let Some(live_index) = self.live_index.get() {
-            // Fenwick rank/select must agree with the alive bits.
+            // Fenwick rank/select must agree with the liveness flags.
             for (k, v) in self.live_nodes().enumerate() {
                 if live_index.select(k) != v.index() {
                     return Err(GraphError::Corrupt("live index select"));
@@ -966,6 +968,42 @@ mod tests {
         }
         let nbrs = g.neighbors(NodeId(0));
         assert!(nbrs.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn a_tombstone_differs_from_an_isolated_live_slot() {
+        // Slot 0 is deleted and slot 1 never had an edge: both hold an
+        // empty neighbor list, and only the handle's liveness flag tells
+        // them apart. The tombstone has the lower id, so an index that
+        // counted it would answer 0.
+        let check = |g: &Graph| {
+            assert!(!g.is_alive(NodeId(0)));
+            assert!(g.is_alive(NodeId(1)));
+            assert_eq!(
+                g.check_alive(NodeId(0)),
+                Err(GraphError::NodeDead(NodeId(0)))
+            );
+            assert_eq!(g.check_alive(NodeId(1)), Ok(()));
+            let live: Vec<NodeId> = g.live_nodes().collect();
+            assert_eq!(live, vec![NodeId(1), NodeId(2), NodeId(3)]);
+            assert_eq!(g.nth_live(0), Some(NodeId(1)));
+            assert_eq!(g.min_degree_node(), Some(NodeId(1)));
+            g.validate().unwrap();
+        };
+        for index_first in [true, false] {
+            let mut g = Graph::new(4);
+            g.add_edge(NodeId(0), NodeId(2)).unwrap();
+            g.add_edge(NodeId(0), NodeId(3)).unwrap();
+            g.add_edge(NodeId(2), NodeId(3)).unwrap();
+            if index_first {
+                g.min_degree_node();
+                g.nth_live(0);
+            }
+            g.remove_node(NodeId(0)).unwrap();
+            let c = g.clone();
+            check(&g);
+            check(&c);
+        }
     }
 
     #[test]

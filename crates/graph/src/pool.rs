@@ -39,11 +39,19 @@ const MIN_CAP: u32 = 4;
 /// `Default` is the empty handle: no chunk allocated, length 0. The
 /// arena allocates lazily on first insert, so building a graph with `n`
 /// isolated nodes touches the pool not at all.
+///
+/// The handle also carries its slot's liveness flag, in what would
+/// otherwise be padding, so a `Graph` answers `is_alive` from the same
+/// 12 bytes as `degree` and `neighbors`. The pool itself never reads the
+/// flag: growth keeps it, and [`AdjPool::clear`] resets the handle to
+/// the default, which is not live (a tombstone). A degree bucket leaves
+/// it unset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkRef {
     off: u32,
     len: u32,
     class: u8,
+    live: bool,
 }
 
 impl Default for ChunkRef {
@@ -52,11 +60,26 @@ impl Default for ChunkRef {
             off: NIL,
             len: 0,
             class: 0,
+            live: false,
         }
     }
 }
 
 impl ChunkRef {
+    /// The empty handle of a live slot: an isolated node.
+    pub const LIVE: ChunkRef = ChunkRef {
+        off: NIL,
+        len: 0,
+        class: 0,
+        live: true,
+    };
+
+    /// Whether the handle is marked live (see the type docs).
+    #[inline]
+    pub fn is_live(&self) -> bool {
+        self.live
+    }
+
     /// Number of values stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -186,8 +209,8 @@ impl AdjPool {
             .map(|class| match class {
                 Some(class) => ChunkRef {
                     off: self.alloc(class),
-                    len: 0,
                     class,
+                    ..ChunkRef::default()
                 },
                 None => ChunkRef::default(),
             })
@@ -229,7 +252,8 @@ impl AdjPool {
     }
 
     /// Release the chunk entirely (tombstoned node): the chunk returns to
-    /// the free list for reuse and `r` becomes the empty handle.
+    /// the free list for reuse and `r` becomes the default handle, empty
+    /// and not live.
     pub fn clear(&mut self, r: &mut ChunkRef) {
         if r.off != NIL {
             self.free(r.off, r.class);
@@ -263,6 +287,19 @@ mod tests {
 
     fn ids(r: &AdjPool, c: &ChunkRef) -> Vec<u32> {
         r.slice(c).iter().map(|n| n.0).collect()
+    }
+
+    #[test]
+    fn the_liveness_flag_fits_in_the_handle_padding() {
+        assert_eq!(std::mem::size_of::<ChunkRef>(), 12);
+        let mut pool = AdjPool::default();
+        let mut r = ChunkRef::LIVE;
+        for v in 0..9u32 {
+            pool.push(&mut r, NodeId(v));
+        }
+        assert!(r.is_live(), "growth keeps the flag");
+        pool.clear(&mut r);
+        assert!(!r.is_live(), "a cleared handle is a tombstone");
     }
 
     #[test]

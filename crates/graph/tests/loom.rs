@@ -12,10 +12,11 @@
 //!   between rounds, the per-helper wake hand-off, the fan-in of one
 //!   partial per helper, and the hang-up that joins the helpers on drop.
 //!
-//! The hint *updates* (`fetch_max`/`fetch_min` in `DegreeIndex::insert`)
-//! take `&mut Graph`, so they cannot race queries by construction; what
-//! can race — and what is explored here — is repair vs. repair vs.
-//! `clone`'s relaxed snapshot (graph.rs `DegreeIndex::clone`).
+//! The hint *updates* (a relaxed load and a conditional store in
+//! `DegreeIndex::insert`) take `&mut Graph`, so they cannot race queries
+//! by construction; what can race — and what is explored here — is
+//! repair vs. repair vs. `clone`'s relaxed snapshot (graph.rs
+//! `DegreeIndex::clone`).
 //!
 //! The degree index is built by the first degree query, through std's
 //! `OnceLock::get_or_init`. That first race belongs to std, and loom does
