@@ -18,14 +18,16 @@
 //!   (the engine's per-victim contexts and outcomes, and the source's
 //!   borrowed payload);
 //! - `Join`: `steady_state_churn_allocates_only_for_new_node_slots`,
-//!   where a join may allocate only to grow the per-node arrays.
+//!   where a join may allocate only to grow the per-node arrays, and
+//!   `join_growth_allocates_no_more_than_the_parent_layout`, which holds
+//!   that growth over 2¹⁶ joins to a fixed count.
 //!
 //! The graph's side indexes are built by their first query, inside
 //! whichever run asks first; `first_index_queries_allocate_a_constant_count`
 //! holds that build to a fixed allocation count, whatever the graph's size.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use selfheal_bench::alloc::{thread_allocations, CountingAlloc};
 use selfheal_core::attack::{MaxNode, RackPartition};
 use selfheal_core::batch::independent_victims;
@@ -33,10 +35,15 @@ use selfheal_core::dash::Dash;
 use selfheal_core::scenario::{EventKind, NetworkEvent, RandomChurn, ScenarioEngine};
 use selfheal_core::state::HealingNetwork;
 use selfheal_graph::generators::barabasi_albert;
-use selfheal_graph::Graph;
+use selfheal_graph::{Graph, NodeId};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations of `join_growth_allocates_no_more_than_the_parent_layout`'s
+/// stream on the layout before the slot records absorbed G′ (measured:
+/// 34; the segmented slot records make 21).
+const JOIN_GROWTH_BOUND: u64 = 34;
 
 #[test]
 fn steady_state_heal_loop_allocates_nothing() {
@@ -162,11 +169,11 @@ fn steady_state_churn_allocates_only_for_new_node_slots() {
 
     // Warm-up as in the delete-only test, then 4096 mixed events, about a
     // third of them joins. A join adds a node slot to every per-node
-    // array (the adjacency handles, G's degree and live indexes, the slot
-    // records, the message counters, the broadcast stamps); those
-    // grow by doubling, so across the block they may allocate a few dozen
-    // times in all. Anything per join — the join's target list, say —
-    // would cost over a thousand.
+    // array (G's adjacency handles, its degree and live indexes, and the
+    // slot records); the first three grow by doubling and the records
+    // by segments that double, so across the block they may allocate a
+    // few dozen times in all. Anything per join — the join's target list,
+    // say — would cost over a thousand.
     engine.run_events(1024);
     let before = thread_allocations();
     let mut joins = 0u64;
@@ -208,4 +215,38 @@ fn first_index_queries_allocate_a_constant_count() {
     // positions. The live index: one Fenwick tree.
     assert_eq!(counts(4096), [4, 1], "index builds at n = 4096");
     assert_eq!(counts(65536), [4, 1], "index builds at n = 65536");
+}
+
+#[test]
+fn join_growth_allocates_no_more_than_the_parent_layout() {
+    // 2¹⁶ joins onto BA(1024, 3), three distinct uniform targets each,
+    // straight through `join_node`: only per-node storage grows. The
+    // bound is the allocation count of this stream on the layout before
+    // the slot records absorbed G′ (five per-node vectors doubling, plus
+    // G's arena). Records that grew one fixed-size block at a time would
+    // cost one allocation per block, 64 for 1,024-record blocks, on top
+    // of G's own growth.
+    let seed = 20080124;
+    let g = barabasi_albert(1024, 3, &mut StdRng::seed_from_u64(seed));
+    let mut net = HealingNetwork::new(g, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut targets: Vec<NodeId> = Vec::with_capacity(3);
+    let before = thread_allocations();
+    for _ in 0..1u32 << 16 {
+        let bound = net.total_created();
+        targets.clear();
+        while targets.len() < 3 {
+            let v = NodeId::from_index(rng.gen_range(0..bound));
+            if !targets.contains(&v) {
+                targets.push(v);
+            }
+        }
+        net.join_node(&targets).unwrap();
+    }
+    let allocs = thread_allocations() - before;
+    assert_eq!(net.total_created(), 1024 + (1 << 16));
+    assert!(
+        allocs <= JOIN_GROWTH_BOUND,
+        "{allocs} allocation(s) for 2^16 joins (bound {JOIN_GROWTH_BOUND})"
+    );
 }

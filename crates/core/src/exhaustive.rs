@@ -479,7 +479,7 @@ mod tests {
             let level = connected_graphs(n);
             let mut seen = BTreeSet::new();
             for sg in &level {
-                assert!(is_connected(&sg.to_graph()), "0x{:x} disconnected", sg.mask);
+                assert!(is_connected(sg.to_graph()), "0x{:x} disconnected", sg.mask);
                 assert_eq!(
                     canonical(n, sg.mask, &perms),
                     sg.mask,

@@ -17,8 +17,10 @@
 //! uniform ranks the record-breaking argument (Lemma 8) needs, with no
 //! floating-point ties.
 
-use selfheal_graph::{Graph, GraphError, NodeId};
+use selfheal_graph::pool::{AdjPool, SmallList};
+use selfheal_graph::{Edge, Graph, GraphError, GraphRead, NodeId};
 use selfheal_sim::SplitMix64;
+use std::ops::{Index, IndexMut};
 
 /// Everything the healing strategies learn when a node is deleted.
 #[derive(Clone, Debug)]
@@ -76,38 +78,17 @@ impl PropagationReport {
 }
 
 /// Reusable buffers for [`HealingNetwork::propagate_min_id`]'s multi-source
-/// BFS. `stamp[v] == epoch` marks `v` as visited in the current broadcast,
-/// so nothing is cleared between rounds — a fresh epoch invalidates every
-/// old entry in O(1), and the vectors/queue keep their capacity. This is
-/// what makes steady-state broadcast rounds allocation-free. Each queued
-/// node carries its BFS depth, so no per-node depth array is needed.
+/// BFS. A slot whose record's `stamp` equals `epoch` is visited in the
+/// current broadcast, so nothing is cleared between rounds — a fresh
+/// epoch invalidates every old stamp in O(1), and the queue keeps its
+/// capacity. This is what makes steady-state broadcast rounds
+/// allocation-free. Each queued node carries its BFS depth, so no
+/// per-node depth array is needed.
 #[derive(Clone, Debug, Default)]
 struct PropagationScratch {
     epoch: u32,
-    stamp: Vec<u32>,
     queue: std::collections::VecDeque<(NodeId, u32)>,
     reached: Vec<(NodeId, u32)>,
-}
-
-impl PropagationScratch {
-    /// Start a new broadcast: grow to `n` slots if the network gained
-    /// nodes, advance the epoch (recycling stamps on the rare wrap), and
-    /// clear the queue/reached buffers without releasing capacity.
-    fn begin(&mut self, n: usize) -> u32 {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.stamp.fill(0);
-                1
-            }
-        };
-        self.queue.clear();
-        self.reached.clear();
-        self.epoch
-    }
 }
 
 /// Reusable buffers for the healers' allocation-free heal path
@@ -154,24 +135,277 @@ impl TouchLog {
     }
 }
 
-/// The per-node fields that a deletion, a heal and a broadcast read and
-/// write together, in one 32-byte record: two slots per cache line, so an
-/// event touching a node misses once, not once per field. The message
-/// counters, which start at zero and only a broadcast bumps, stay in a
-/// vector of their own (see [`HealingNetwork`]).
+/// Everything `HealingNetwork` keeps per node beside `G`, in one 64-byte
+/// record aligned to 64 bytes: one cache line, so a deletion, a heal or
+/// a broadcast that touches a node misses once, not once per field.
+///
+/// - `comp_id` and `initial_id` are `u32`: both are ranks below
+///   [`HealingNetwork::total_created`], and a [`NodeId`] is a `u32` too.
+/// - `msgs` holds the message counters `[SENT, RECV]`, and `stamp` the
+///   epoch of the last broadcast that visited the node.
+/// - `gp` is the node's sorted `G'` neighbor list. Up to three
+///   neighbors sit in the record itself; a longer list spills to a chunk
+///   of the network's one spill pool (see [`SmallList`]). Binary-tree
+///   wiring gives a node at most three edges per reconstruction tree, so
+///   almost every live node's list stays inline.
+///
+/// The records live in [`Slots`], whose storage never moves.
 #[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
 struct Slot {
-    comp_id: u64,
-    initial_id: u64,
     weight: u64,
+    msgs: [u64; 2],
+    comp_id: u32,
+    initial_id: u32,
     initial_degree: u32,
     id_changes: u32,
+    stamp: u32,
+    gp: SmallList,
+}
+
+impl Slot {
+    /// The record of a node that has just arrived with ID rank `id` and
+    /// `degree` neighbors in `G`.
+    fn new(id: u32, degree: usize) -> Self {
+        Slot {
+            weight: 1,
+            msgs: [0; 2],
+            comp_id: id,
+            initial_id: id,
+            initial_degree: degree as u32,
+            id_changes: 0,
+            stamp: 0,
+            gp: SmallList::EMPTY,
+        }
+    }
 }
 
 /// Index of the sent count in a node's message counters.
 const SENT: usize = 0;
 /// Index of the received count in a node's message counters.
 const RECV: usize = 1;
+
+/// The slot records, in segments that never move once allocated.
+///
+/// The first segment is allocated with room for twice the initial node
+/// count: the initial nodes, and as many joins again. Joins past that
+/// fill later segments, the first of `2^shift` records (the next power of
+/// two at or above the first segment's room) and each one after twice
+/// the one before. So growth copies no record (a `Vec` of
+/// 64-byte-aligned records would: the allocator cannot grow an
+/// over-aligned block in place, so every doubling copies the whole
+/// vector, and the old and new blocks are both resident at once), a
+/// stream of joins allocates O(log) times, not once per fixed-size
+/// block, and the room the first segment reserves costs address space,
+/// not memory, until a join writes it.
+///
+/// A run that joins fewer nodes than it started with never leaves the
+/// first segment, so every lookup takes the same, predicted branch and
+/// costs what indexing one `Vec` costs. Past it, a slot is found with a
+/// shift and a leading-zero count.
+#[derive(Debug)]
+struct Slots {
+    first: Vec<Slot>,
+    /// The first segment's fixed capacity.
+    room: usize,
+    rest: Vec<Vec<Slot>>,
+    /// `log2` of the second segment's capacity.
+    shift: u32,
+}
+
+impl Clone for Slots {
+    /// Copy every segment at its full capacity, so a clone's joins also
+    /// fill segments in place.
+    fn clone(&self) -> Self {
+        let copy = |seg: &Vec<Slot>| {
+            let mut out = Vec::with_capacity(seg.capacity());
+            out.extend_from_slice(seg);
+            out
+        };
+        Slots {
+            first: copy(&self.first),
+            rest: self.rest.iter().map(copy).collect(),
+            ..*self
+        }
+    }
+}
+
+impl Slots {
+    /// Storage for `n` initial records, to be pushed.
+    fn with_initial(n: usize) -> Self {
+        let first = Vec::with_capacity(2 * n);
+        let room = first.capacity();
+        Slots {
+            first,
+            room,
+            rest: Vec::new(),
+            shift: room.next_power_of_two().trailing_zeros(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first.len() + self.rest.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Segment (within `rest`) and offset of slot `i`, which is past the
+    /// first segment.
+    #[inline]
+    fn locate(&self, i: usize) -> (usize, usize) {
+        let j = i - self.room + (1 << self.shift);
+        let k = (usize::BITS - 1 - j.leading_zeros()) - self.shift;
+        (k as usize, j - (1 << (self.shift + k)))
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&Slot> {
+        if i < self.room {
+            return self.first.get(i);
+        }
+        let (k, off) = self.locate(i);
+        self.rest.get(k)?.get(off)
+    }
+
+    fn push(&mut self, slot: Slot) {
+        if self.first.len() < self.room {
+            self.first.push(slot);
+            return;
+        }
+        let (k, _) = self.locate(self.len());
+        if k == self.rest.len() {
+            self.rest
+                .push(Vec::with_capacity(1 << (self.shift + k as u32)));
+        }
+        self.rest[k].push(slot);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Slot> + '_ {
+        self.first.iter().chain(self.rest.iter().flatten())
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Slot> + '_ {
+        self.first.iter_mut().chain(self.rest.iter_mut().flatten())
+    }
+}
+
+impl Index<usize> for Slots {
+    type Output = Slot;
+
+    #[inline]
+    fn index(&self, i: usize) -> &Slot {
+        if i < self.first.len() {
+            return &self.first[i];
+        }
+        let (k, off) = self.locate(i);
+        &self.rest[k][off]
+    }
+}
+
+impl IndexMut<usize> for Slots {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut Slot {
+        if i < self.first.len() {
+            return &mut self.first[i];
+        }
+        let (k, off) = self.locate(i);
+        &mut self.rest[k][off]
+    }
+}
+
+/// A read-only view of the healing graph `G'`, borrowed from a
+/// [`HealingNetwork`] by [`HealingNetwork::healing_graph`].
+///
+/// `G'` is not a [`Graph`]: its adjacency lives in the network's slot
+/// records. The view offers the same read methods as a `Graph` with the
+/// same meaning (`G'` has the node set of `G`), and implements
+/// [`GraphRead`], so `is_forest`, `is_tree` and `connected_components`
+/// take it as they take a `Graph`.
+#[derive(Clone, Copy, Debug)]
+pub struct HealingGraph<'a> {
+    g: &'a Graph,
+    slots: &'a Slots,
+    spill: &'a AdjPool,
+    edges: usize,
+}
+
+impl<'a> HealingGraph<'a> {
+    /// Total number of node slots ever allocated (live + dead).
+    pub fn node_bound(&self) -> usize {
+        self.g.node_bound()
+    }
+
+    /// Number of currently live nodes.
+    pub fn live_node_count(&self) -> usize {
+        self.g.live_node_count()
+    }
+
+    /// Number of healing edges.
+    pub fn edge_count(&self) -> usize {
+        self.edges
+    }
+
+    /// Whether node `v` is currently live.
+    pub fn is_alive(&self, v: NodeId) -> bool {
+        self.g.is_alive(v)
+    }
+
+    /// `G'` degree of `v` (0 for dead or out-of-range nodes).
+    pub fn degree(&self, v: NodeId) -> usize {
+        self.slots.get(v.index()).map_or(0, |s| s.gp.len())
+    }
+
+    /// The sorted `G'` neighbor list of `v` (empty for dead or
+    /// out-of-range nodes).
+    pub fn neighbors(&self, v: NodeId) -> &'a [NodeId] {
+        match self.slots.get(v.index()) {
+            Some(s) => s.gp.slice(self.spill),
+            None => &[],
+        }
+    }
+
+    /// Whether the healing edge `(u, v)` exists.
+    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Iterator over all healing edges, each reported once with
+    /// `lo < hi`.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + 'a {
+        let spill = self.spill;
+        self.slots.iter().enumerate().flat_map(move |(i, s)| {
+            let u = NodeId::from_index(i);
+            s.gp.slice(spill)
+                .iter()
+                .filter(move |&&w| u < w)
+                .map(move |&w| Edge::new(u, w))
+        })
+    }
+
+    /// Collect the `G'` degree of every slot (dead slots report 0) into
+    /// `out`, indexed by [`NodeId::index`] and sized to
+    /// [`node_bound`](Self::node_bound), reusing its allocation.
+    pub fn degrees_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.slots.iter().map(|s| s.gp.len() as u32));
+    }
+}
+
+impl GraphRead for HealingGraph<'_> {
+    fn node_bound(&self) -> usize {
+        HealingGraph::node_bound(self)
+    }
+    fn live_node_count(&self) -> usize {
+        HealingGraph::live_node_count(self)
+    }
+    fn edge_count(&self) -> usize {
+        HealingGraph::edge_count(self)
+    }
+    fn is_alive(&self, v: NodeId) -> bool {
+        HealingGraph::is_alive(self, v)
+    }
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        HealingGraph::neighbors(self, v)
+    }
+}
 
 /// The mutable state of a self-healing simulation.
 ///
@@ -192,13 +426,16 @@ const RECV: usize = 1;
 #[derive(Clone, Debug)]
 pub struct HealingNetwork {
     g: Graph,
-    gp: Graph,
-    /// The hot per-node record, indexed by slot.
-    slots: Vec<Slot>,
-    /// Messages `[SENT, RECV]` per slot. Every count starts at zero, so
-    /// the vector is built zeroed (`vec![[0; 2]; n]`, a zeroing
-    /// allocation) and its pages are only touched by broadcasts.
-    msgs: Vec<[u64; 2]>,
+    /// The per-node records, `G'` adjacency included, indexed by slot.
+    slots: Slots,
+    /// Chunks of the `G'` lists too long to sit in their record. Its
+    /// arena is reserved at half the initial node count: healing BA(n, 3)
+    /// to empty peaked at 0.08 n (churn, n = 2·10⁵) to 0.3 n (rack
+    /// partition, n = 4096 and 20 000), so the pool allocates nothing in
+    /// such a run and its untouched reserve costs address space only.
+    spill: AdjPool,
+    /// Number of `G'` edges.
+    gp_edges: usize,
     n_initial: usize,
     total_created: usize,
     weight_lost: u64,
@@ -220,29 +457,24 @@ impl HealingNetwork {
             n,
             "initial graph must have all nodes alive"
         );
-        // The records are reserved before the temporary permutation, and
-        // the permutation is freed before the other vectors are built:
-        // in a loop that builds and drops networks, this order keeps
-        // glibc's heap from being trimmed between builds and faulted in
-        // again (see ARCHITECTURE.md, "Memory layout"). Slot indices fit
-        // in `u32`, so the permutation is shuffled at half the width of
-        // the IDs it yields: the same swaps, the same ranks.
-        let mut slots = Vec::with_capacity(n);
+        // The records are reserved before the temporary permutation: in a
+        // loop that builds and drops networks, this order keeps glibc's
+        // heap from being trimmed between builds and faulted in again
+        // (see ARCHITECTURE.md, "Memory layout"). Slot indices fit in
+        // `u32`, so the permutation is shuffled at half the width of the
+        // IDs it yields: the same swaps, the same ranks.
+        let mut slots = Slots::with_initial(n);
         let mut ids: Vec<u32> = (0..n as u32).collect();
         SplitMix64::new(seed).shuffle(&mut ids);
-        slots.extend(ids.iter().enumerate().map(|(i, &id)| Slot {
-            comp_id: u64::from(id),
-            initial_id: u64::from(id),
-            weight: 1,
-            initial_degree: graph.degree(NodeId::from_index(i)) as u32,
-            id_changes: 0,
-        }));
+        for (i, &id) in ids.iter().enumerate() {
+            slots.push(Slot::new(id, graph.degree(NodeId::from_index(i))));
+        }
         drop(ids);
         HealingNetwork {
-            gp: Graph::new(n),
             g: graph,
             slots,
-            msgs: vec![[0; 2]; n],
+            spill: AdjPool::with_capacity(n / 2),
+            gp_edges: 0,
             n_initial: n,
             total_created: n,
             weight_lost: 0,
@@ -291,8 +523,13 @@ impl HealingNetwork {
     }
 
     /// The healing graph `G'` (only healing edges).
-    pub fn healing_graph(&self) -> &Graph {
-        &self.gp
+    pub fn healing_graph(&self) -> HealingGraph<'_> {
+        HealingGraph {
+            g: &self.g,
+            slots: &self.slots,
+            spill: &self.spill,
+            edges: self.gp_edges,
+        }
     }
 
     /// Number of nodes the network started with.
@@ -322,23 +559,16 @@ impl HealingNetwork {
             }
         }
         let v = self.g.add_node();
-        let v2 = self.gp.add_node();
-        debug_assert_eq!(v, v2);
         for &u in neighbors {
             // panic-ok: every `u` passed the liveness/duplication checks
             // at the top of this function before any mutation began.
             self.g.add_edge(v, u).expect("validated above");
         }
-        let fresh_id = self.total_created as u64;
+        // The fresh ID is the new slot's index: `total_created` before
+        // this join.
+        debug_assert_eq!(v.index(), self.total_created);
         self.total_created += 1;
-        self.slots.push(Slot {
-            comp_id: fresh_id,
-            initial_id: fresh_id,
-            weight: 1,
-            initial_degree: neighbors.len() as u32,
-            id_changes: 0,
-        });
-        self.msgs.push([0; 2]);
+        self.slots.push(Slot::new(v.0, neighbors.len()));
         self.touched.touch(v);
         Ok(v)
     }
@@ -355,7 +585,7 @@ impl HealingNetwork {
 
     /// Initial (immutable) random ID rank of `v`.
     pub fn initial_id(&self, v: NodeId) -> u64 {
-        self.slots[v.index()].initial_id
+        u64::from(self.slots[v.index()].initial_id)
     }
 
     /// Current component ID of `v` (minimum initial ID broadcast through
@@ -367,7 +597,7 @@ impl HealingNetwork {
     /// `StateSnapshot::capture` relies on this to count components in a
     /// vector indexed by ID.
     pub fn comp_id(&self, v: NodeId) -> u64 {
-        self.slots[v.index()].comp_id
+        u64::from(self.slots[v.index()].comp_id)
     }
 
     /// Degree increase `δ(v)` relative to the initial degree. Negative
@@ -395,18 +625,18 @@ impl HealingNetwork {
     /// ID-maintenance messages sent by `v` (Lemma 8 accounting: every ID
     /// change broadcasts to all current `G` neighbors).
     pub fn messages_sent(&self, v: NodeId) -> u64 {
-        self.msgs[v.index()][SENT]
+        self.slots[v.index()].msgs[SENT]
     }
 
     /// ID-maintenance messages received by `v`.
     pub fn messages_received(&self, v: NodeId) -> u64 {
-        self.msgs[v.index()][RECV]
+        self.slots[v.index()].msgs[RECV]
     }
 
     /// Sent + received for `v` — the quantity Theorem 1 bounds by
     /// `2 (d + 2 log n) ln n`.
     pub fn traffic(&self, v: NodeId) -> u64 {
-        let [sent, recv] = self.msgs[v.index()];
+        let [sent, recv] = self.slots[v.index()].msgs;
         sent + recv
     }
 
@@ -449,24 +679,37 @@ impl HealingNetwork {
     ) -> Result<(), GraphError> {
         self.g.check_alive(v)?;
         ctx.deleted = v;
-        ctx.deleted_comp_id = self.slots[v.index()].comp_id;
         // G′ ⊆ G, so size the G′ list by the G degree: both lists then
         // reach their high-water mark with the largest G degree deleted,
         // not with whichever victim first had many healing edges.
         ctx.gprime_neighbors.clear();
         ctx.gprime_neighbors.reserve(self.g.degree(v));
-        self.gp.remove_node_into(v, &mut ctx.gprime_neighbors)?;
-        self.g.remove_node_into(v, &mut ctx.g_neighbors)?;
-        self.touched.touch(v);
+        let slot = &mut self.slots[v.index()];
+        ctx.deleted_comp_id = u64::from(slot.comp_id);
+        let w = std::mem::take(&mut slot.weight);
+        let mut list = std::mem::take(&mut slot.gp);
+        ctx.gprime_neighbors
+            .extend_from_slice(list.slice(&self.spill));
+        list.clear(&mut self.spill);
+        self.gp_edges -= ctx.gprime_neighbors.len();
         for &u in &ctx.gprime_neighbors {
+            let gp = &mut self.slots[u.index()].gp;
+            let pos = gp
+                .slice(&self.spill)
+                .binary_search(&v)
+                // panic-ok: G′ adjacency symmetry is a structural
+                // invariant every mutation maintains.
+                .expect("asymmetric G′ adjacency detected");
+            gp.remove_at(&mut self.spill, pos);
             self.touched.touch(u);
         }
+        self.g.remove_node_into(v, &mut ctx.g_neighbors)?;
+        self.touched.touch(v);
         let heir = ctx
             .gprime_neighbors
             .first()
             .or_else(|| ctx.g_neighbors.first())
             .copied();
-        let w = std::mem::take(&mut self.slots[v.index()].weight);
         match heir {
             Some(h) => self.slots[h.index()].weight += w,
             None => self.weight_lost += w,
@@ -482,12 +725,31 @@ impl HealingNetwork {
     /// `(new_in_g, new_in_gprime)`.
     pub fn add_heal_edge(&mut self, u: NodeId, v: NodeId) -> Result<(bool, bool), GraphError> {
         let new_g = self.g.ensure_edge(u, v)?;
-        let new_gp = self.gp.ensure_edge(u, v)?;
-        if new_gp {
-            self.touched.touch(u);
-            self.touched.touch(v);
-        }
-        Ok((new_g, new_gp))
+        // `ensure_edge` checked that both endpoints are live and distinct.
+        let Err(pos_u) = self.slots[u.index()]
+            .gp
+            .slice(&self.spill)
+            .binary_search(&v)
+        else {
+            return Ok((new_g, false));
+        };
+        let pos_v = self.slots[v.index()]
+            .gp
+            .slice(&self.spill)
+            .binary_search(&u)
+            // panic-ok: G′ adjacency symmetry is a structural invariant
+            // every mutation maintains.
+            .expect_err("asymmetric G′ adjacency detected");
+        self.slots[u.index()]
+            .gp
+            .insert_at(&mut self.spill, pos_u, v);
+        self.slots[v.index()]
+            .gp
+            .insert_at(&mut self.spill, pos_v, u);
+        self.gp_edges += 1;
+        self.touched.touch(u);
+        self.touched.touch(v);
+        Ok((new_g, true))
     }
 
     /// Algorithm 1, step 5: broadcast the minimum component ID through the
@@ -501,14 +763,17 @@ impl HealingNetwork {
     pub fn propagate_min_id(&mut self, seeds: &[NodeId]) -> PropagationReport {
         let mut report = PropagationReport::default();
         // Multi-source BFS over G' from the reconstruction tree, on
-        // epoch-stamped scratch buffers: zero heap allocation at steady
-        // state (the buffers only grow when the network does).
+        // epoch-stamped records and reused buffers: zero heap allocation
+        // at steady state.
+        let epoch = self.begin_broadcast();
         let scratch = &mut self.scratch;
-        let epoch = scratch.begin(self.gp.node_bound());
         for &s in seeds {
-            if self.gp.is_alive(s) && scratch.stamp[s.index()] != epoch {
-                scratch.stamp[s.index()] = epoch;
-                scratch.queue.push_back((s, 0));
+            if self.g.is_alive(s) {
+                let slot = &mut self.slots[s.index()];
+                if slot.stamp != epoch {
+                    slot.stamp = epoch;
+                    scratch.queue.push_back((s, 0));
+                }
             }
         }
         if scratch.queue.is_empty() {
@@ -516,9 +781,11 @@ impl HealingNetwork {
         }
         while let Some((v, depth)) = scratch.queue.pop_front() {
             scratch.reached.push((v, depth));
-            for &u in self.gp.neighbors(v) {
-                if scratch.stamp[u.index()] != epoch {
-                    scratch.stamp[u.index()] = epoch;
+            let list = self.slots[v.index()].gp;
+            for &u in list.slice(&self.spill) {
+                let slot = &mut self.slots[u.index()];
+                if slot.stamp != epoch {
+                    slot.stamp = epoch;
                     scratch.queue.push_back((u, depth + 1));
                 }
             }
@@ -539,7 +806,7 @@ impl HealingNetwork {
                 self.touched.touch(v);
                 report.changed += 1;
                 report.latency = report.latency.max(u64::from(depth));
-                report.messages += count_messages(&self.g, &mut self.msgs, v);
+                report.messages += count_messages(&self.g, &mut self.slots, v);
             }
         }
         report
@@ -570,12 +837,10 @@ impl HealingNetwork {
     /// [`HealingNetwork::propagate_min_id`] instead.
     pub fn propagate_min_id_uniform(&mut self, seeds: &[NodeId]) -> PropagationReport {
         let mut report = PropagationReport::default();
-        let scratch = &mut self.scratch;
-        let epoch = scratch.begin(self.gp.node_bound());
-        let mut min_id = u64::MAX;
+        let mut min_id = u32::MAX;
         let mut any_live = false;
         for &s in seeds {
-            if self.gp.is_alive(s) {
+            if self.g.is_alive(s) {
                 any_live = true;
                 min_id = min_id.min(self.slots[s.index()].comp_id);
             }
@@ -583,45 +848,66 @@ impl HealingNetwork {
         if !any_live {
             return report;
         }
+        let epoch = self.begin_broadcast();
+        let scratch = &mut self.scratch;
         // Restricted multi-source BFS: only through nodes still above the
         // minimum. Under the uniformity invariant this reaches exactly the
         // nodes the exact broadcast would change, at the same depths.
         for &s in seeds {
-            if self.gp.is_alive(s)
-                && self.slots[s.index()].comp_id > min_id
-                && scratch.stamp[s.index()] != epoch
-            {
-                scratch.stamp[s.index()] = epoch;
-                scratch.queue.push_back((s, 0));
+            if self.g.is_alive(s) {
+                let slot = &mut self.slots[s.index()];
+                if slot.comp_id > min_id && slot.stamp != epoch {
+                    slot.stamp = epoch;
+                    scratch.queue.push_back((s, 0));
+                }
             }
         }
         while let Some((v, depth)) = scratch.queue.pop_front() {
             let slot = &mut self.slots[v.index()];
             slot.comp_id = min_id;
             slot.id_changes += 1;
+            let list = slot.gp;
             self.touched.touch(v);
             report.changed += 1;
             report.latency = report.latency.max(u64::from(depth));
-            report.messages += count_messages(&self.g, &mut self.msgs, v);
-            for &u in self.gp.neighbors(v) {
-                if scratch.stamp[u.index()] != epoch && self.slots[u.index()].comp_id > min_id {
-                    scratch.stamp[u.index()] = epoch;
+            report.messages += count_messages(&self.g, &mut self.slots, v);
+            for &u in list.slice(&self.spill) {
+                let slot = &mut self.slots[u.index()];
+                if slot.stamp != epoch && slot.comp_id > min_id {
+                    slot.stamp = epoch;
                     scratch.queue.push_back((u, depth + 1));
                 }
             }
         }
         report
     }
+
+    /// Start a broadcast: advance the epoch (recycling every record's
+    /// stamp on the rare wrap) and empty the scratch queues without
+    /// releasing their capacity.
+    fn begin_broadcast(&mut self) -> u32 {
+        let scratch = &mut self.scratch;
+        scratch.epoch = match scratch.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.slots.iter_mut().for_each(|s| s.stamp = 0);
+                1
+            }
+        };
+        scratch.queue.clear();
+        scratch.reached.clear();
+        scratch.epoch
+    }
 }
 
 /// Lemma 8's accounting for one ID change at `v`: `v` sends one message
 /// to each current `G` neighbor, and each of them receives one. Returns
 /// the number sent.
-fn count_messages(g: &Graph, msgs: &mut [[u64; 2]], v: NodeId) -> u64 {
+fn count_messages(g: &Graph, slots: &mut Slots, v: NodeId) -> u64 {
     let deg = g.degree(v) as u64;
-    msgs[v.index()][SENT] += deg;
+    slots[v.index()].msgs[SENT] += deg;
     for &u in g.neighbors(v) {
-        msgs[u.index()][RECV] += 1;
+        slots[u.index()].msgs[RECV] += 1;
     }
     deg
 }
@@ -880,8 +1166,91 @@ mod tests {
     }
 
     #[test]
-    fn the_slot_record_is_half_a_cache_line() {
-        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    fn the_slot_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
+        assert_eq!(std::mem::align_of::<Slot>(), 64);
+    }
+
+    #[test]
+    fn forest_algorithms_agree_on_the_view_and_a_graph() {
+        use selfheal_graph::components::connected_components;
+        use selfheal_graph::forest::{is_forest, is_tree};
+        // A star whose centre spills past the inline three, a separate
+        // edge, an isolated node and a dead one; then one tree; then a
+        // cycle.
+        let mut net = net_on_path(9);
+        let mut g = Graph::new(9);
+        let check = |net: &HealingNetwork, g: &Graph| {
+            let gp = net.healing_graph();
+            assert_eq!(is_forest(gp), is_forest(g));
+            assert_eq!(is_tree(gp), is_tree(g));
+            assert_eq!(
+                connected_components(gp).labels,
+                connected_components(g).labels
+            );
+        };
+        let wire = |net: &mut HealingNetwork, g: &mut Graph, pairs: &[(u32, u32)]| {
+            for &(a, b) in pairs {
+                net.add_heal_edge(NodeId(a), NodeId(b)).unwrap();
+                g.add_edge(NodeId(a), NodeId(b)).unwrap();
+            }
+        };
+        wire(
+            &mut net,
+            &mut g,
+            &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7)],
+        );
+        net.delete_node(NodeId(8)).unwrap();
+        g.remove_node(NodeId(8)).unwrap();
+        check(&net, &g);
+        assert!(is_forest(net.healing_graph()) && !is_tree(net.healing_graph()));
+        wire(&mut net, &mut g, &[(5, 6)]);
+        check(&net, &g);
+        assert!(is_tree(net.healing_graph()));
+        wire(&mut net, &mut g, &[(1, 7)]);
+        check(&net, &g);
+        assert!(!is_forest(net.healing_graph()));
+    }
+
+    #[test]
+    fn slot_segments_never_move_and_locate_every_slot() {
+        // 5 initial records in a first segment with room for 10, then
+        // joins through three doubling segments (16, 32 and 64 records):
+        // every record must stay where it was written, and the index
+        // must find each one.
+        let mut net = net_on_path(5);
+        let places = |net: &HealingNetwork| {
+            let rest = net.slots.rest.iter().map(|s| s.as_ptr());
+            std::iter::once(net.slots.first.as_ptr())
+                .chain(rest)
+                .collect::<Vec<_>>()
+        };
+        for _ in 0..8 {
+            net.join_node(&[NodeId(0)]).unwrap();
+        }
+        let early = places(&net);
+        for _ in 0..48 {
+            net.join_node(&[]).unwrap();
+        }
+        let caps = |net: &HealingNetwork| {
+            let rest = net.slots.rest.iter().map(Vec::capacity);
+            std::iter::once(net.slots.first.capacity())
+                .chain(rest)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(caps(&net), [10, 16, 32, 64]);
+        assert_eq!(places(&net)[..early.len()], early[..]);
+        assert_eq!(net.total_created(), 61);
+        assert_eq!(net.slots.iter().count(), 61);
+        for i in 5..61 {
+            assert_eq!(net.initial_id(NodeId::from_index(i)), i as u64);
+        }
+        assert!(net.slots.get(61).is_none());
+        assert_eq!(
+            caps(&net.clone()),
+            [10, 16, 32, 64],
+            "a clone keeps full segments"
+        );
     }
 
     #[test]

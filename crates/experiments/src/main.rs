@@ -220,10 +220,11 @@ fn scale_command(opts: &Options) -> ! {
         "# E11: million-node healing throughput — {:?}, seed {}\n",
         opts.scale, opts.seed
     );
-    let rows = scale::run(opts.scale, opts.seed);
-    print!("{}", scale::render(&rows));
+    let report = scale::run(opts.scale, opts.seed);
+    print!("{}", scale::render(&report.rows));
+    print!("\n{}", scale::render_ladder(&report.ladder));
     println!("\ndone in {:.1?}", t0.elapsed());
-    if rows.iter().all(|r| r.healed_to_empty) {
+    if report.rows.iter().all(|r| r.healed_to_empty) {
         std::process::exit(0);
     }
     eprintln!("FAILED: a configuration left live nodes behind");

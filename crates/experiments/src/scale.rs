@@ -9,11 +9,19 @@
 //!   terminates after ≈ 3n events);
 //! - `rack-partition(8)`: coordinated batch kills of shuffled racks.
 //!
-//! Each configuration reports wall-clock events/sec, the process's peak
-//! RSS (`VmHWM` from `/proc/self/status`; cumulative, hence monotone
-//! across rows), and the heap-allocation count during the run (non-zero
-//! only when the binary installs `selfheal_bench::alloc::CountingAlloc`,
-//! which `run-experiments` does). Unlike E1–E9 this experiment is *not*
+//! Each configuration runs three times and reports its median run (by
+//! events/sec): wall-clock events/sec, the process's peak RSS (`VmHWM`
+//! from `/proc/self/status`; cumulative, hence monotone across rows), and
+//! the heap-allocation count during the run (non-zero only when the
+//! binary installs `selfheal_bench::alloc::CountingAlloc`, which
+//! `run-experiments` does).
+//!
+//! A per-event cost ladder follows the rows: DASH under `random-churn`
+//! at n = 10⁴, 2·10⁵ and 10⁶, as ns/event (median of three runs each),
+//! and the 10⁶:10⁴ ratio. DASH's work per event does not grow with n
+//! (it rewires only the victim's neighbours, and Theorem 1 bounds each
+//! node's ID changes by O(log n)), so the ratio measures what memory
+//! costs as the network outgrows the caches. Unlike E1–E9 this experiment is *not*
 //! part of `run-experiments all` — a million-node sweep has no place in
 //! `make figures` — it is dispatched explicitly, like `verify`.
 
@@ -33,6 +41,10 @@ use std::time::{Duration, Instant};
 const M: usize = 3;
 /// Rack size for the partition adversary.
 const RACK: usize = 8;
+/// Runs per configuration; each reports its median run.
+const RUNS: usize = 3;
+/// Initial sizes of the per-event cost ladder.
+pub const LADDER: [usize; 3] = [10_000, 200_000, 1_000_000];
 
 /// One (healer, adversary) configuration's measurements.
 #[derive(Clone, Debug)]
@@ -114,29 +126,106 @@ fn run_one<H: Healer>(
     }
 }
 
-/// Run E11 at `n` nodes: {dash, sdash} × {random-churn, rack-partition}.
+/// The median of [`RUNS`] runs of `run`, by events/sec.
+fn median_run(run: impl Fn() -> ScaleRow) -> ScaleRow {
+    let mut runs: Vec<ScaleRow> = (0..RUNS).map(|_| run()).collect();
+    runs.sort_by(|a, b| a.events_per_sec.total_cmp(&b.events_per_sec));
+    runs.swap_remove(RUNS / 2)
+}
+
+/// Run E11 at `n` nodes: {dash, sdash} × {random-churn, rack-partition},
+/// each the median of three runs.
 pub fn run_with_size(n: usize, seed: u64) -> Vec<ScaleRow> {
     let mut rows = Vec::with_capacity(4);
     for churn in [true, false] {
-        rows.push(run_one("dash", selfheal_core::dash::Dash, n, seed, churn));
-        rows.push(run_one(
-            "sdash",
-            selfheal_core::sdash::Sdash,
-            n,
-            seed,
-            churn,
-        ));
+        rows.push(median_run(|| {
+            run_one("dash", selfheal_core::dash::Dash, n, seed, churn)
+        }));
+        rows.push(median_run(|| {
+            run_one("sdash", selfheal_core::sdash::Sdash, n, seed, churn)
+        }));
     }
     rows
 }
 
-/// Run E11 at full scale: BA(10⁶, 3), or 2·10⁶ with `--full`.
-pub fn run(scale: Scale, seed: u64) -> Vec<ScaleRow> {
+/// One step of the per-event cost ladder.
+#[derive(Clone, Copy, Debug)]
+pub struct LadderStep {
+    /// Initial node count.
+    pub n: usize,
+    /// Wall-clock ns per event, DASH under `random-churn` (median run).
+    pub ns_per_event: f64,
+}
+
+/// ns/event of a measured row.
+fn ns_per_event(row: &ScaleRow) -> f64 {
+    1e9 / row.events_per_sec.max(1e-9)
+}
+
+/// The per-event cost ladder at `sizes`, smallest first. A size that
+/// `rows` already measured (its `dash`/`random-churn` row) is read from
+/// that row; the others run DASH under `random-churn` three times.
+pub fn ladder(sizes: &[usize], seed: u64, rows: &[ScaleRow]) -> Vec<LadderStep> {
+    sizes
+        .iter()
+        .map(|&n| {
+            let row = rows
+                .iter()
+                .find(|r| r.n == n && r.healer == "dash" && r.adversary == "random-churn")
+                .cloned()
+                .unwrap_or_else(|| {
+                    median_run(|| run_one("dash", selfheal_core::dash::Dash, n, seed, true))
+                });
+            LadderStep {
+                n,
+                ns_per_event: ns_per_event(&row),
+            }
+        })
+        .collect()
+}
+
+/// E11's measurements: the configuration rows and the cost ladder.
+#[derive(Clone, Debug)]
+pub struct ScaleReport {
+    /// {dash, sdash} × {random-churn, rack-partition} at the run's n.
+    pub rows: Vec<ScaleRow>,
+    /// DASH `random-churn` ns/event at [`LADDER`]'s sizes.
+    pub ladder: Vec<LadderStep>,
+}
+
+/// Run E11 at full scale: BA(10⁶, 3), or 2·10⁶ with `--full`, then the
+/// ladder (whose 10⁶ step reuses the quick run's row).
+pub fn run(scale: Scale, seed: u64) -> ScaleReport {
     let n = match scale {
         Scale::Quick => 1_000_000,
         Scale::Full => 2_000_000,
     };
-    run_with_size(n, seed)
+    let rows = run_with_size(n, seed);
+    let ladder = ladder(&LADDER, seed, &rows);
+    ScaleReport { rows, ladder }
+}
+
+/// The ladder as a table, then the largest-to-smallest ns/event ratio.
+pub fn render_ladder(steps: &[LadderStep]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "dash random-churn cost per event (median of {RUNS} runs)"
+    );
+    let _ = writeln!(out, "{:>9} {:>10}", "n", "ns/event");
+    for s in steps {
+        let _ = writeln!(out, "{:>9} {:>10.0}", s.n, s.ns_per_event);
+    }
+    if let (Some(lo), Some(hi)) = (steps.first(), steps.last()) {
+        let _ = writeln!(
+            out,
+            "ratio n={}:n={} {:.2}",
+            hi.n,
+            lo.n,
+            hi.ns_per_event / lo.ns_per_event
+        );
+    }
+    out
 }
 
 /// Fixed-width table over the measured rows.
@@ -215,6 +304,25 @@ mod tests {
             let kb = peak_rss_kb().expect("VmHWM present in /proc/self/status");
             assert!(kb > 0);
         }
+    }
+
+    #[test]
+    fn ladder_measures_each_size_and_reuses_a_measured_row() {
+        let rows = run_with_size(300, 5);
+        let steps = ladder(&[100, 300], 5, &rows);
+        assert_eq!(steps.iter().map(|s| s.n).collect::<Vec<_>>(), [100, 300]);
+        assert!(steps.iter().all(|s| s.ns_per_event > 0.0));
+        let row = rows
+            .iter()
+            .find(|r| r.healer == "dash" && r.adversary == "random-churn")
+            .unwrap();
+        assert_eq!(steps[1].ns_per_event, ns_per_event(row));
+        let table = render_ladder(&steps);
+        assert_eq!(table.lines().count(), 5);
+        assert!(table.ends_with(&format!(
+            "ratio n=300:n=100 {:.2}\n",
+            steps[1].ns_per_event / steps[0].ns_per_event
+        )));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! edge insertions cheaply ([`UnionFind`], used to track the healing
 //! forest `G'` under merges).
 
-use crate::graph::Graph;
+use crate::graph::GraphRead;
 use crate::ids::NodeId;
 use std::collections::VecDeque;
 
@@ -54,12 +54,12 @@ impl ComponentLabels {
 ///
 /// Components are numbered in order of their smallest node id, so the
 /// labeling is deterministic.
-pub fn connected_components(g: &Graph) -> ComponentLabels {
+pub fn connected_components<G: GraphRead>(g: G) -> ComponentLabels {
     let mut labels = vec![usize::MAX; g.node_bound()];
     let mut count = 0;
     let mut queue = VecDeque::new();
-    for src in g.live_nodes() {
-        if labels[src.index()] != usize::MAX {
+    for src in (0..g.node_bound()).map(NodeId::from_index) {
+        if !g.is_alive(src) || labels[src.index()] != usize::MAX {
             continue;
         }
         labels[src.index()] = count;
@@ -81,11 +81,14 @@ pub fn connected_components(g: &Graph) -> ComponentLabels {
 ///
 /// An empty graph (zero live nodes) is considered connected, matching the
 /// paper's "up to all nodes deleted" boundary condition.
-pub fn is_connected(g: &Graph) -> bool {
-    let mut it = g.live_nodes();
-    let Some(src) = it.next() else { return true };
-    let visited = crate::traversal::bfs(g, src, |_, _| {});
-    visited == g.live_node_count()
+pub fn is_connected<G: GraphRead>(g: G) -> bool {
+    let Some(src) = (0..g.node_bound())
+        .map(NodeId::from_index)
+        .find(|&v| g.is_alive(v))
+    else {
+        return true;
+    };
+    crate::traversal::bfs(&g, src, |_, _| {}) == g.live_node_count()
 }
 
 /// Disjoint-set union with union by rank and path halving.
@@ -172,6 +175,7 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
 
     fn two_triangles() -> Graph {
         let mut g = Graph::new(6);

@@ -8,24 +8,24 @@
 //! graph `G'` (Lemma 1 of the paper).
 
 use crate::components::connected_components;
-use crate::graph::Graph;
+use crate::graph::GraphRead;
 use crate::ids::NodeId;
 
 /// Whether the live subgraph is a forest (acyclic).
 ///
 /// Uses the identity `|E| = |V| - #components` that characterizes forests.
-pub fn is_forest(g: &Graph) -> bool {
-    let cc = connected_components(g);
+pub fn is_forest<G: GraphRead>(g: G) -> bool {
+    let cc = connected_components(&g);
     g.edge_count() == g.live_node_count() - cc.count
 }
 
 /// Whether the live subgraph is a single tree (connected and acyclic).
 ///
 /// The empty graph is *not* a tree; a single isolated node is.
-pub fn is_tree(g: &Graph) -> bool {
+pub fn is_tree<G: GraphRead>(g: G) -> bool {
     g.live_node_count() >= 1
         && g.edge_count() == g.live_node_count() - 1
-        && crate::components::is_connected(g)
+        && crate::components::is_connected(&g)
 }
 
 /// Edge list wiring `nodes` into a complete binary tree in the given
@@ -47,6 +47,7 @@ pub fn line_edges(nodes: &[NodeId]) -> Vec<(NodeId, NodeId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
 
     fn ids(v: &[u32]) -> Vec<NodeId> {
         v.iter().map(|&x| NodeId(x)).collect()

@@ -22,7 +22,7 @@
 //! (the k-th smallest live id) in O(log n) so adversaries can sample
 //! uniform live nodes without materializing the live list. Each is built
 //! in O(n) by its first query and maintained by every mutation after
-//! that, so a graph nobody asks (a healing graph G′, a serving shard)
+//! that, so a graph nobody asks (a serving shard's, say)
 //! never pays for either. An index answers only from the graph it
 //! shadows, so when it was built cannot change an answer.
 
@@ -285,6 +285,69 @@ impl LiveIndex {
             pw /= 2;
         }
         pos // tree is 1-indexed: `pos` live entries precede slot `pos`.
+    }
+}
+
+/// The read surface of a graph that the whole-graph algorithms need
+/// ([`connected_components`](crate::components::connected_components),
+/// [`is_connected`](crate::components::is_connected),
+/// [`is_forest`](crate::forest::is_forest),
+/// [`is_tree`](crate::forest::is_tree) and
+/// [`bfs`](crate::traversal::bfs)), so they run on a [`Graph`] and on
+/// any other store with its semantics: stable ids below
+/// [`node_bound`](Self::node_bound), tombstoned dead slots with no
+/// neighbors, and sorted, symmetric neighbor lists. The healing graph
+/// `G'` that `selfheal-core` keeps inside its per-node records is one.
+///
+/// The algorithms take the graph by value, and `&T` is a `GraphRead`
+/// whenever `T` is, so `is_forest(&g)` and `is_forest(view)` both work.
+pub trait GraphRead {
+    /// Total number of node slots (live + dead).
+    fn node_bound(&self) -> usize;
+    /// Number of live nodes.
+    fn live_node_count(&self) -> usize;
+    /// Number of live edges.
+    fn edge_count(&self) -> usize;
+    /// Whether `v` is a live node.
+    fn is_alive(&self, v: NodeId) -> bool;
+    /// The sorted neighbor list of `v` (empty for dead or out-of-range
+    /// nodes).
+    fn neighbors(&self, v: NodeId) -> &[NodeId];
+}
+
+impl<T: GraphRead + ?Sized> GraphRead for &T {
+    fn node_bound(&self) -> usize {
+        (**self).node_bound()
+    }
+    fn live_node_count(&self) -> usize {
+        (**self).live_node_count()
+    }
+    fn edge_count(&self) -> usize {
+        (**self).edge_count()
+    }
+    fn is_alive(&self, v: NodeId) -> bool {
+        (**self).is_alive(v)
+    }
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        (**self).neighbors(v)
+    }
+}
+
+impl GraphRead for Graph {
+    fn node_bound(&self) -> usize {
+        Graph::node_bound(self)
+    }
+    fn live_node_count(&self) -> usize {
+        Graph::live_node_count(self)
+    }
+    fn edge_count(&self) -> usize {
+        Graph::edge_count(self)
+    }
+    fn is_alive(&self, v: NodeId) -> bool {
+        Graph::is_alive(self, v)
+    }
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        Graph::neighbors(self, v)
     }
 }
 
@@ -577,18 +640,6 @@ impl Graph {
             .map(|(i, _)| NodeId::from_index(i))
     }
 
-    /// Collect the degree of every slot (dead slots report 0) into
-    /// `out`, indexed by [`NodeId::index`] and sized to
-    /// [`Graph::node_bound`], reusing its allocation.
-    pub fn degrees_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(
-            self.adj
-                .iter()
-                .map(|r| u32::try_from(r.len()).unwrap_or(u32::MAX)),
-        );
-    }
-
     /// The k-th (0-indexed) live node in increasing id order, in O(log n)
     /// (the first call builds the live index in O(n)).
     ///
@@ -751,23 +802,6 @@ mod tests {
             assert_eq!(g.degree(v), 0);
         }
         g.validate().unwrap();
-    }
-
-    #[test]
-    fn bulk_accessors_match_their_per_node_counterparts() {
-        let mut g = Graph::new(4);
-        g.add_edge(NodeId(0), NodeId(1)).unwrap();
-        g.add_edge(NodeId(1), NodeId(2)).unwrap();
-        g.add_edge(NodeId(2), NodeId(3)).unwrap();
-        g.remove_node(NodeId(1)).unwrap();
-
-        let mut degs = vec![77u32]; // stale content must be cleared
-        g.degrees_into(&mut degs);
-        assert_eq!(degs.len(), g.node_bound());
-        for (i, &d) in degs.iter().enumerate() {
-            assert_eq!(d as usize, g.degree(NodeId::from_index(i)));
-        }
-        assert_eq!(degs[1], 0, "dead slot must report degree 0");
     }
 
     #[test]

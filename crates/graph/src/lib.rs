@@ -43,5 +43,5 @@ pub mod traversal;
 
 pub use csr::{Csr, UNREACHABLE};
 pub use errors::{GraphError, Result};
-pub use graph::Graph;
+pub use graph::{Graph, GraphRead};
 pub use ids::{Edge, NodeId};

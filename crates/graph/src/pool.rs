@@ -23,6 +23,11 @@
 //! buckets in a pool of its own: the build sizes every bucket with one
 //! [`AdjPool::reserve`], and later moves append with [`AdjPool::push`]
 //! and remove with [`AdjPool::swap_remove`].
+//!
+//! A [`SmallList`] is the handle for stores whose lists are mostly
+//! short: it holds up to [`INLINE`] values itself and spills a longer
+//! list to a chunk of a pool. `selfheal-core` keeps the healing graph
+//! `G'` this way, one `SmallList` inside each node's record.
 
 use crate::ids::NodeId;
 
@@ -119,6 +124,16 @@ fn class_for(len: usize) -> u8 {
 }
 
 impl AdjPool {
+    /// An empty pool with room for `entries` values in its arena, and a
+    /// free-list head for every size class a chunk of that arena can
+    /// have, so it allocates nothing until the arena outgrows `entries`.
+    pub fn with_capacity(entries: usize) -> Self {
+        AdjPool {
+            slots: Vec::with_capacity(entries),
+            free_heads: vec![NIL; usize::from(class_for(entries)) + 1],
+        }
+    }
+
     /// The values of a chunk, as one contiguous slice.
     #[inline]
     pub fn slice(&self, r: &ChunkRef) -> &[NodeId] {
@@ -281,6 +296,141 @@ impl AdjPool {
     }
 }
 
+/// Values a [`SmallList`] holds without a chunk.
+pub const INLINE: usize = 3;
+
+/// A sorted list of up to [`INLINE`] values held in the handle itself,
+/// spilling to an [`AdjPool`] chunk once it grows longer: 16 bytes that
+/// hold a short list whole, so reading it costs no second cache line.
+///
+/// The list is inline exactly when `len <= INLINE`. A spilled list keeps
+/// its chunk's arena offset in `data[0]` and its size class in
+/// `data[1]`; the chunk's length is `len`. Growing past [`INLINE`]
+/// moves the values into a chunk of the smallest class, and shrinking
+/// back to [`INLINE`] moves them home and frees the chunk, so the rule
+/// holds both ways and a handle never owns a chunk it does not need.
+#[derive(Clone, Copy, Debug)]
+pub struct SmallList {
+    len: u32,
+    data: [NodeId; INLINE],
+}
+
+impl Default for SmallList {
+    fn default() -> Self {
+        SmallList::EMPTY
+    }
+}
+
+impl SmallList {
+    /// The empty list.
+    pub const EMPTY: SmallList = SmallList {
+        len: 0,
+        data: [NodeId(NIL); INLINE],
+    };
+
+    /// Number of values stored.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the list is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the values live in a pool chunk.
+    #[inline]
+    fn spilled(&self) -> bool {
+        self.len as usize > INLINE
+    }
+
+    /// The chunk handle of a spilled list.
+    fn chunk(&self) -> ChunkRef {
+        ChunkRef {
+            off: self.data[0].0,
+            len: self.len,
+            class: self.data[1].0 as u8,
+            live: false,
+        }
+    }
+
+    /// Store `r` as this list's chunk (its length must exceed [`INLINE`]).
+    fn set_chunk(&mut self, r: ChunkRef) {
+        debug_assert!(r.len() > INLINE);
+        self.len = r.len;
+        self.data[0] = NodeId(r.off);
+        self.data[1] = NodeId(u32::from(r.class));
+    }
+
+    /// The values, as one contiguous slice.
+    #[inline]
+    pub fn slice<'a>(&'a self, pool: &'a AdjPool) -> &'a [NodeId] {
+        if self.spilled() {
+            pool.slice(&self.chunk())
+        } else {
+            &self.data[..self.len as usize]
+        }
+    }
+
+    /// Insert `value` at `pos` (≤ len), shifting the tail right; the
+    /// fourth value spills the list to a chunk of `pool`.
+    pub fn insert_at(&mut self, pool: &mut AdjPool, pos: usize, value: NodeId) {
+        let len = self.len as usize;
+        debug_assert!(pos <= len);
+        if len < INLINE {
+            self.data.copy_within(pos..len, pos + 1);
+            self.data[pos] = value;
+            self.len += 1;
+            return;
+        }
+        let mut r = if len == INLINE {
+            let mut r = ChunkRef::default();
+            for &v in &self.data {
+                pool.push(&mut r, v);
+            }
+            r
+        } else {
+            self.chunk()
+        };
+        pool.insert_at(&mut r, pos, value);
+        self.set_chunk(r);
+    }
+
+    /// Remove and return the value at `pos` (< len), shifting the tail
+    /// left; a spilled list that shrinks to [`INLINE`] values moves back
+    /// inline and frees its chunk.
+    pub fn remove_at(&mut self, pool: &mut AdjPool, pos: usize) -> NodeId {
+        let len = self.len as usize;
+        debug_assert!(pos < len);
+        if len <= INLINE {
+            let value = self.data[pos];
+            self.data.copy_within(pos + 1..len, pos);
+            self.len -= 1;
+            return value;
+        }
+        let mut r = self.chunk();
+        let value = pool.remove_at(&mut r, pos);
+        if r.len() == INLINE {
+            self.data.copy_from_slice(pool.slice(&r));
+            self.len = INLINE as u32;
+            pool.clear(&mut r);
+        } else {
+            self.set_chunk(r);
+        }
+        value
+    }
+
+    /// Empty the list, returning a spilled list's chunk to `pool`.
+    pub fn clear(&mut self, pool: &mut AdjPool) {
+        if self.spilled() {
+            pool.clear(&mut self.chunk());
+        }
+        *self = SmallList::EMPTY;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,5 +568,37 @@ mod tests {
         // cycle's chunks, so the arena is no bigger than one cycle's
         // growth chain (4 + 8 + 16 + 32 + 64).
         assert_eq!(pool.arena_len(), 4 + 8 + 16 + 32 + 64);
+    }
+
+    #[test]
+    fn small_lists_spill_past_inline_and_come_home() {
+        assert_eq!(std::mem::size_of::<SmallList>(), 16);
+        let mut pool = AdjPool::default();
+        let mut l = SmallList::EMPTY;
+        for v in [5u32, 1, 3] {
+            let pos = l.slice(&pool).partition_point(|&x| x.0 < v);
+            l.insert_at(&mut pool, pos, NodeId(v));
+        }
+        assert_eq!(pool.arena_len(), 0, "three values stay inline");
+        l.insert_at(&mut pool, 0, NodeId(0));
+        assert_eq!(l.len(), 4);
+        assert_eq!(pool.arena_len(), 4, "the fourth spills to a class-0 chunk");
+        let got: Vec<u32> = l.slice(&pool).iter().map(|n| n.0).collect();
+        assert_eq!(got, vec![0, 1, 3, 5]);
+        assert_eq!(l.remove_at(&mut pool, 2), NodeId(3));
+        assert_eq!(
+            pool.free_chunk_count(),
+            1,
+            "back to three: the chunk is freed"
+        );
+        let got: Vec<u32> = l.slice(&pool).iter().map(|n| n.0).collect();
+        assert_eq!(got, vec![0, 1, 5]);
+        for v in 6..40u32 {
+            l.insert_at(&mut pool, l.len(), NodeId(v));
+        }
+        assert_eq!(l.len(), 37);
+        l.clear(&mut pool);
+        assert!(l.is_empty());
+        assert_eq!(l.slice(&pool), &[] as &[NodeId]);
     }
 }

@@ -1,10 +1,10 @@
 //! Breadth-first traversal over live nodes.
 //!
 //! The traversal allocates its bookkeeping from the graph's
-//! [`node_bound`](crate::Graph::node_bound) so it is safe to run on
+//! [`node_bound`](crate::GraphRead::node_bound) so it is safe to run on
 //! graphs with tombstoned (deleted) nodes.
 
-use crate::graph::Graph;
+use crate::graph::GraphRead;
 use crate::ids::NodeId;
 use std::collections::VecDeque;
 
@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 ///
 /// Returns the number of nodes visited. Does nothing (returns 0) if `src`
 /// is dead or out of range.
-pub fn bfs<F: FnMut(NodeId, u32)>(g: &Graph, src: NodeId, mut visit: F) -> usize {
+pub fn bfs<G: GraphRead, F: FnMut(NodeId, u32)>(g: G, src: NodeId, mut visit: F) -> usize {
     if !g.is_alive(src) {
         return 0;
     }
@@ -38,6 +38,7 @@ pub fn bfs<F: FnMut(NodeId, u32)>(g: &Graph, src: NodeId, mut visit: F) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
 
     fn cycle(n: usize) -> Graph {
         let mut g = Graph::new(n);

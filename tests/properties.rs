@@ -641,3 +641,123 @@ fn manual_rounds_match_engine() {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `G'` lives in the slot records (three neighbours inline, longer
+    /// lists spilled to a pool), not in a `Graph`. Drive it and a
+    /// reference `Graph` through the same random heal-edge, delete and
+    /// join sequence: every read the view offers must match the
+    /// reference after every step, and the whole-graph algorithms must
+    /// agree on the view and on the reference. Each case first wires one
+    /// hub to 1,100 joiners (a list far past the inline three) and walks
+    /// one node's list 3 → 4 → 3; the random steps, mostly among the
+    /// first 16 nodes, then cross that boundary both ways at will, and the
+    /// network is cloned at a random step and the clone driven on.
+    #[test]
+    fn healing_graph_matches_reference_graph(
+        n in 2usize..12,
+        ops in prop::collection::vec((0u8..8, 0usize..2048, 0usize..2048), 1..200),
+        clone_at in 0usize..200,
+    ) {
+        use selfheal_graph::components::connected_components;
+        use selfheal_graph::forest::{is_forest, is_tree};
+        use selfheal_graph::Graph;
+
+        let mut net = HealingNetwork::new(Graph::new(n), 9);
+        let mut reference = Graph::new(n);
+        let check = |net: &HealingNetwork, reference: &Graph, nodes: &[NodeId]| {
+            let gp = net.healing_graph();
+            assert_eq!(gp.edge_count(), reference.edge_count());
+            assert_eq!(gp.node_bound(), reference.node_bound());
+            assert_eq!(gp.live_node_count(), reference.live_node_count());
+            for &v in nodes {
+                assert_eq!(gp.neighbors(v), reference.neighbors(v), "neighbors of {v}");
+                assert_eq!(gp.degree(v), reference.degree(v), "degree of {v}");
+                assert_eq!(gp.is_alive(v), reference.is_alive(v), "liveness of {v}");
+                for &u in reference.neighbors(v) {
+                    assert!(gp.has_edge(v, u) && gp.has_edge(u, v), "edge {v}-{u}");
+                }
+            }
+        };
+        let heal = |net: &mut HealingNetwork, reference: &mut Graph, u: NodeId, v: NodeId| {
+            let got = net.add_heal_edge(u, v).ok().map(|(_, new_gp)| new_gp);
+            assert_eq!(got, reference.ensure_edge(u, v).ok(), "heal {u}-{v}");
+        };
+
+        // One list far past the inline three.
+        let hub = NodeId(0);
+        for _ in 0..1100 {
+            let v = net.join_node(&[]).unwrap();
+            assert_eq!(reference.add_node(), v);
+            heal(&mut net, &mut reference, hub, v);
+        }
+        assert_eq!(net.healing_graph().degree(hub), 1100);
+        // One list across 3 → 4 → 3.
+        let w = NodeId(1);
+        for i in 0..4 {
+            heal(&mut net, &mut reference, w, NodeId(n as u32 + 1 + i));
+        }
+        assert_eq!(net.healing_graph().degree(w), 4);
+        let gone = NodeId(n as u32 + 2);
+        net.delete_node(gone).unwrap();
+        reference.remove_node(gone).unwrap();
+        assert_eq!(net.healing_graph().degree(w), 3);
+        let all = |net: &HealingNetwork| -> Vec<NodeId> {
+            (0..net.healing_graph().node_bound()).map(NodeId::from_index).collect()
+        };
+        check(&net, &reference, &all(&net));
+
+        for (step, (op, a, b)) in ops.into_iter().enumerate() {
+            if step == clone_at {
+                net = net.clone();
+                check(&net, &reference, &all(&net));
+            }
+            let bound = reference.node_bound();
+            let (u, v) = (NodeId::from_index(a % bound), NodeId::from_index(b % bound));
+            let mut touched = vec![u, v];
+            touched.extend_from_slice(reference.neighbors(u));
+            match op {
+                // Mostly heal edges among the first nodes, so lists grow
+                // and shrink around the inline limit.
+                0..=3 => {
+                    let (u, v) = (NodeId::from_index(a % 16 % bound), NodeId::from_index(b % 16 % bound));
+                    touched.extend([u, v]);
+                    heal(&mut net, &mut reference, u, v);
+                }
+                4 => heal(&mut net, &mut reference, u, v),
+                5 | 6 => {
+                    let got = net.delete_node(u).ok().map(|ctx| ctx.gprime_neighbors);
+                    assert_eq!(got, reference.remove_node(u).ok(), "delete {u}");
+                }
+                _ => {
+                    let mut targets: Vec<NodeId> =
+                        [u, v].into_iter().filter(|&x| reference.is_alive(x)).collect();
+                    targets.dedup();
+                    let joined = net.join_node(&targets).unwrap();
+                    assert_eq!(joined, reference.add_node());
+                    touched.push(joined);
+                }
+            }
+            check(&net, &reference, &touched);
+        }
+        check(&net, &reference, &all(&net));
+        let (gp, cc, cc_ref) = (
+            net.healing_graph(),
+            connected_components(net.healing_graph()),
+            connected_components(&reference),
+        );
+        prop_assert_eq!(cc.labels, cc_ref.labels);
+        prop_assert_eq!(is_forest(gp), is_forest(&reference));
+        prop_assert_eq!(is_tree(gp), is_tree(&reference));
+        let edges: Vec<_> = gp.edges().collect();
+        prop_assert_eq!(edges, reference.edges().collect::<Vec<_>>());
+        let mut degrees = vec![7];
+        gp.degrees_into(&mut degrees);
+        let degrees_ref: Vec<u32> = (0..reference.node_bound())
+            .map(|i| reference.degree(NodeId::from_index(i)) as u32)
+            .collect();
+        prop_assert_eq!(degrees, degrees_ref);
+    }
+}
