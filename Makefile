@@ -32,8 +32,8 @@ bench:
 ## Smoke-run the scenario and scale throughput benches. Each asserts its
 ## own structure: `scenario` the run-to-empty round counts and the
 ## steady-state broadcast agreement between the scratch-buffer and
-## allocating baselines, `scale_throughput` the chunk pool, degree-bucket
-## and Fenwick live-rank structures behind `Graph`. So a panic here means
+## allocating baselines, `scale_throughput` the chunk pool, the degree
+## buckets and the live-rank bitmap behind `Graph`. So a panic here means
 ## the allocation-free hot loop or one of those structures regressed.
 ## Offline-safe: the vendored criterion stand-in hard-caps runtimes.
 bench-check:

@@ -4,7 +4,9 @@
 //! `BENCH_<pr>.json` by `make bench-baseline`): full DASH sweeps at
 //! n ∈ {4096, 16384}, plus microbenches isolating the three structures
 //! the million-node experiment leans on — chunk-pool edge churn,
-//! degree-bucket extreme queries, and Fenwick live-rank sampling.
+//! degree-bucket extreme queries, and live-rank sampling over the
+//! liveness bitmap (a Fenwick tree over 512-slot block counts, then a
+//! popcount inside one block).
 //!
 //! Every benchmark asserts its structural expectations, so the target
 //! also runs under `make bench-check` as a smoke gate.
@@ -70,8 +72,9 @@ fn bench_edge_churn(c: &mut Criterion) {
 }
 
 /// Degree extremes and live-rank sampling under deletions — the two
-/// former O(n)-per-event scans, now a bucket-hint repair and a Fenwick
-/// descent.
+/// former O(n)-per-event scans, now a bucket-hint repair and a bitmap
+/// select. Every 1,024th sample is checked against a scan of the live
+/// list.
 fn bench_queries_under_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_throughput");
     group.sample_size(10);
@@ -100,9 +103,14 @@ fn bench_queries_under_churn(c: &mut Criterion) {
             |mut g| {
                 let mut acc = 0u64;
                 let mut k = 0usize;
+                let mut samples = 0u64;
                 while g.live_node_count() > 0 {
                     let live = g.live_node_count();
                     let v = g.nth_live(k % live).expect("rank < live count");
+                    if samples.is_multiple_of(1024) {
+                        assert_eq!(Some(v), g.live_nodes().nth(k % live), "sample {samples}");
+                    }
+                    samples += 1;
                     acc += v.0 as u64;
                     g.remove_node(v).unwrap();
                     k = k.wrapping_mul(6364136223846793005).wrapping_add(1);

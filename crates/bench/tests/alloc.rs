@@ -3,8 +3,8 @@
 //! The PR 7 hot-path refactor claims that once every scratch buffer has
 //! grown to its working size, a healing event (delete → heal → broadcast
 //! → account) performs **no heap allocations at all**: the pooled
-//! adjacency store reuses freed chunks, the degree buckets and Fenwick
-//! tree keep their capacity, the deletion context / reconstruction-set /
+//! adjacency store reuses freed chunks, the degree buckets and the live
+//! bitmap keep their capacity, the deletion context / reconstruction-set /
 //! δ-order / BFS buffers round-trip through the network, and the
 //! engine's `HealOutcome` is recycled.
 //!
@@ -24,7 +24,9 @@
 //!
 //! The graph's side indexes are built by their first query, inside
 //! whichever run asks first; `first_index_queries_allocate_a_constant_count`
-//! holds that build to a fixed allocation count, whatever the graph's size.
+//! holds that build to a fixed allocation count, whatever the graph's size,
+//! and `removing_a_hub_allocates_nothing` holds a removal whose
+//! neighbours span several search batches to none.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -212,9 +214,37 @@ fn first_index_queries_allocate_a_constant_count() {
         counts
     };
     // The degree index: bucket sizes, one arena, bucket handles and
-    // positions. The live index: one Fenwick tree.
-    assert_eq!(counts(4096), [4, 1], "index builds at n = 4096");
-    assert_eq!(counts(65536), [4, 1], "index builds at n = 65536");
+    // positions. The live index: the bitmap's words and the Fenwick
+    // tree over its blocks' counts.
+    assert_eq!(counts(4096), [4, 2], "index builds at n = 4096");
+    assert_eq!(counts(65536), [4, 2], "index builds at n = 65536");
+}
+
+#[test]
+fn removing_a_hub_allocates_nothing() {
+    // A degree-40 hub spans several of `remove_node_into`'s batches. The
+    // first hub's removal grows degree bucket 0 to hold its spokes; the
+    // spokes then join a second hub, whose removal is measured with both
+    // side indexes built and the former-neighbour buffer at capacity.
+    let spokes = 40u32;
+    let mut g = Graph::new(1 + spokes as usize);
+    for v in 1..=spokes {
+        g.add_edge(NodeId(0), NodeId(v)).unwrap();
+    }
+    assert_eq!(g.max_degree_node(), Some(NodeId(0)));
+    assert!(g.nth_live(0).is_some());
+    let mut former = Vec::with_capacity(spokes as usize);
+    g.remove_node_into(NodeId(0), &mut former).unwrap();
+    let hub = g.add_node();
+    for v in 1..=spokes {
+        g.add_edge(hub, NodeId(v)).unwrap();
+    }
+    let before = thread_allocations();
+    g.remove_node_into(hub, &mut former).unwrap();
+    assert_eq!(thread_allocations() - before, 0, "removing a degree-40 hub");
+    assert_eq!(former.len(), spokes as usize);
+    assert_eq!(g.edge_count(), 0);
+    g.validate().unwrap();
 }
 
 #[test]

@@ -127,7 +127,7 @@ impl Adversary for RandomAttack {
     }
 
     fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
-        // Rank-select on the graph's Fenwick live index: identical draws
+        // Rank-select on the graph's live bitmap index: identical draws
         // to choosing from the collected (ascending) live list.
         let live = net.graph().live_node_count();
         if live == 0 {

@@ -483,7 +483,7 @@ impl EventSource for RandomChurn {
         }
         if self.rng.gen_range(3) == 0 {
             // The join branch samples live nodes by rank via the graph's
-            // Fenwick live index — same draws as choosing from the
+            // live bitmap index — same draws as choosing from the
             // ascending collected live list, without the O(n) collect.
             let live = net.graph().live_node_count();
             let k = 1 + self.rng.gen_range(3) as usize;

@@ -17,13 +17,18 @@
 //! `run-experiments` does).
 //!
 //! A per-event cost ladder follows the rows: DASH under `random-churn`
-//! at n = 10⁴, 2·10⁵ and 10⁶, as ns/event (median of three runs each),
-//! and the 10⁶:10⁴ ratio. DASH's work per event does not grow with n
-//! (it rewires only the victim's neighbours, and Theorem 1 bounds each
-//! node's ID changes by O(log n)), so the ratio measures what memory
-//! costs as the network outgrows the caches. Unlike E1–E9 this experiment is *not*
-//! part of `run-experiments all` — a million-node sweep has no place in
-//! `make figures` — it is dispatched explicitly, like `verify`.
+//! at n = 10⁴, 2·10⁵ and 10⁶, as ns/event, and the 10⁶:10⁴ ratio. The
+//! 10⁶ step reads the dash `random-churn` row. A smaller step is the
+//! median of three measurements, printed with their min–max, and each
+//! measurement repeats the seeded episode until at least
+//! [`LADDER_MIN_STEPPING`] of stepping has been timed (one 10⁴ episode
+//! takes milliseconds, too short to time alone). DASH's work per event
+//! does not grow with n (it rewires only the victim's neighbours, and
+//! Theorem 1 bounds each node's ID changes by O(log n)), so the ratio
+//! measures what memory costs as the network outgrows the caches.
+//! Unlike E1–E9 this experiment is *not* part of `run-experiments all`
+//! — a million-node sweep has no place in `make figures` — it is
+//! dispatched explicitly, like `verify`.
 
 use crate::config::Scale;
 use rand::rngs::StdRng;
@@ -45,6 +50,8 @@ const RACK: usize = 8;
 const RUNS: usize = 3;
 /// Initial sizes of the per-event cost ladder.
 pub const LADDER: [usize; 3] = [10_000, 200_000, 1_000_000];
+/// Stepping time one ladder measurement collects, at least.
+pub const LADDER_MIN_STEPPING: Duration = Duration::from_secs(1);
 
 /// One (healer, adversary) configuration's measurements.
 #[derive(Clone, Debug)]
@@ -153,8 +160,12 @@ pub fn run_with_size(n: usize, seed: u64) -> Vec<ScaleRow> {
 pub struct LadderStep {
     /// Initial node count.
     pub n: usize,
-    /// Wall-clock ns per event, DASH under `random-churn` (median run).
+    /// Wall-clock ns per event, DASH under `random-churn`: the median
+    /// measurement, or the row's median run.
     pub ns_per_event: f64,
+    /// The smallest and largest of the step's measurements; `None` for a
+    /// step read from a row.
+    pub range: Option<(f64, f64)>,
 }
 
 /// ns/event of a measured row.
@@ -162,23 +173,52 @@ fn ns_per_event(row: &ScaleRow) -> f64 {
     1e9 / row.events_per_sec.max(1e-9)
 }
 
+/// ns/event of DASH under `random-churn` at `n`, over as many runs of
+/// the seeded episode as it takes to time `min_stepping` (at least one).
+fn repeated_episodes(n: usize, seed: u64, min_stepping: Duration) -> f64 {
+    let (mut elapsed, mut events) = (Duration::ZERO, 0u64);
+    loop {
+        let row = run_one("dash", selfheal_core::dash::Dash, n, seed, true);
+        elapsed += row.elapsed;
+        events += row.events;
+        if elapsed >= min_stepping {
+            return elapsed.as_nanos() as f64 / events.max(1) as f64;
+        }
+    }
+}
+
 /// The per-event cost ladder at `sizes`, smallest first. A size that
 /// `rows` already measured (its `dash`/`random-churn` row) is read from
-/// that row; the others run DASH under `random-churn` three times.
-pub fn ladder(sizes: &[usize], seed: u64, rows: &[ScaleRow]) -> Vec<LadderStep> {
+/// that row; the others take the median of three measurements, each
+/// repeating the seeded episode until it has timed `min_stepping`.
+pub fn ladder(
+    sizes: &[usize],
+    seed: u64,
+    rows: &[ScaleRow],
+    min_stepping: Duration,
+) -> Vec<LadderStep> {
     sizes
         .iter()
         .map(|&n| {
             let row = rows
                 .iter()
-                .find(|r| r.n == n && r.healer == "dash" && r.adversary == "random-churn")
-                .cloned()
-                .unwrap_or_else(|| {
-                    median_run(|| run_one("dash", selfheal_core::dash::Dash, n, seed, true))
-                });
+                .find(|r| r.n == n && r.healer == "dash" && r.adversary == "random-churn");
+            if let Some(row) = row {
+                return LadderStep {
+                    n,
+                    ns_per_event: ns_per_event(row),
+                    range: None,
+                };
+            }
+            let mut ns = [0.0; RUNS];
+            for x in &mut ns {
+                *x = repeated_episodes(n, seed, min_stepping);
+            }
+            ns.sort_by(f64::total_cmp);
             LadderStep {
                 n,
-                ns_per_event: ns_per_event(&row),
+                ns_per_event: ns[RUNS / 2],
+                range: Some((ns[0], ns[RUNS - 1])),
             }
         })
         .collect()
@@ -201,7 +241,7 @@ pub fn run(scale: Scale, seed: u64) -> ScaleReport {
         Scale::Full => 2_000_000,
     };
     let rows = run_with_size(n, seed);
-    let ladder = ladder(&LADDER, seed, &rows);
+    let ladder = ladder(&LADDER, seed, &rows, LADDER_MIN_STEPPING);
     ScaleReport { rows, ladder }
 }
 
@@ -210,11 +250,15 @@ pub fn render_ladder(steps: &[LadderStep]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "dash random-churn cost per event (median of {RUNS} runs)"
+        "dash random-churn cost per event (median of {RUNS} measurements, min–max)"
     );
-    let _ = writeln!(out, "{:>9} {:>10}", "n", "ns/event");
+    let _ = writeln!(out, "{:>9} {:>10} {:>13}", "n", "ns/event", "min–max");
     for s in steps {
-        let _ = writeln!(out, "{:>9} {:>10.0}", s.n, s.ns_per_event);
+        let range = match s.range {
+            Some((lo, hi)) => format!("{lo:.0}–{hi:.0}"),
+            None => "(row)".to_string(),
+        };
+        let _ = writeln!(out, "{:>9} {:>10.0} {:>13}", s.n, s.ns_per_event, range);
     }
     if let (Some(lo), Some(hi)) = (steps.first(), steps.last()) {
         let _ = writeln!(
@@ -309,7 +353,7 @@ mod tests {
     #[test]
     fn ladder_measures_each_size_and_reuses_a_measured_row() {
         let rows = run_with_size(300, 5);
-        let steps = ladder(&[100, 300], 5, &rows);
+        let steps = ladder(&[100, 300], 5, &rows, Duration::ZERO);
         assert_eq!(steps.iter().map(|s| s.n).collect::<Vec<_>>(), [100, 300]);
         assert!(steps.iter().all(|s| s.ns_per_event > 0.0));
         let row = rows

@@ -18,13 +18,16 @@
 //! Two side indexes keep an adversary's per-event queries sublinear: a
 //! **degree-bucket index** answers [`Graph::max_degree_node`] /
 //! [`Graph::min_degree_node`] from the extreme bucket instead of an O(n)
-//! scan, and a **Fenwick live-order index** answers [`Graph::nth_live`]
-//! (the k-th smallest live id) in O(log n) so adversaries can sample
-//! uniform live nodes without materializing the live list. Each is built
-//! in O(n) by its first query and maintained by every mutation after
-//! that, so a graph nobody asks (a serving shard's, say)
-//! never pays for either. An index answers only from the graph it
-//! shadows, so when it was built cannot change an answer.
+//! scan, and a **live-order index** answers [`Graph::nth_live`] (the
+//! k-th smallest live id) in O(log n) so adversaries can sample uniform
+//! live nodes without materializing the live list. The live index is a
+//! liveness bitmap in 512-slot blocks plus a Fenwick tree over the
+//! blocks' live counts: a select descends the small tree, then counts
+//! bits in one 64-byte block. Each index is built in O(n) by its first
+//! query and maintained by every mutation after that, so a graph nobody
+//! asks (a serving shard's, say) never pays for either. An index answers
+//! only from the graph it shadows, so when it was built cannot change an
+//! answer.
 
 use crate::errors::{GraphError, Result};
 use crate::ids::{Edge, NodeId};
@@ -233,59 +236,148 @@ impl DegreeIndex {
     }
 }
 
-/// Fenwick (binary-indexed) tree over the liveness flags, for O(log n)
-/// rank/select on live nodes. Grows by doubling with an O(n) rebuild.
+/// Neighbours [`Graph::remove_node_into`] searches before it writes.
+const REMOVAL_BATCH: usize = 16;
+
+/// Slots per block of the live index: 512 liveness bits, 64 bytes.
+const BLOCK_BITS: usize = 512;
+/// `u64` words per live-index block.
+const BLOCK_WORDS: usize = BLOCK_BITS / 64;
+
+/// Liveness bitmap with a Fenwick (binary-indexed) tree over the live
+/// counts of its 512-slot blocks, for O(log n) select on live nodes. A
+/// select descends the tree to its block (a few KB even at millions of
+/// slots) and then counts bits in that one block; a delete or join flips
+/// one bit and walks the tree. Grows by doubling with an O(n) rebuild.
 #[derive(Clone, Debug)]
 struct LiveIndex {
-    /// 1-indexed partial sums; `tree.len() == cap + 1`.
+    /// Bit `i % 64` of word `i / 64` is slot `i`'s liveness; bits past
+    /// the last slot are clear. Block `b` is words
+    /// `b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS`.
+    words: Vec<u64>,
+    /// 1-indexed partial sums of the blocks' live counts;
+    /// `tree.len() == blocks + 1`.
     tree: Vec<u32>,
-    cap: usize,
 }
 
 impl LiveIndex {
-    /// Linear-time build over the slots' liveness flags with capacity
-    /// `cap`.
+    /// Linear-time build over the slots' liveness flags, with room for
+    /// at least `cap` slots.
     fn new(cap: usize, adj: &[ChunkRef]) -> Self {
-        let mut tree = vec![0u32; cap + 1];
+        let mut words = vec![0u64; cap.div_ceil(BLOCK_BITS) * BLOCK_WORDS];
         for (i, r) in adj.iter().enumerate() {
-            tree[i + 1] = u32::from(r.is_live());
+            words[i / 64] |= u64::from(r.is_live()) << (i % 64);
         }
-        for i in 1..=cap {
+        let mut index = LiveIndex {
+            tree: vec![0u32; words.len() / BLOCK_WORDS + 1],
+            words,
+        };
+        for b in 0..index.tree.len() - 1 {
+            index.tree[b + 1] = index.count(b);
+        }
+        for i in 1..index.tree.len() {
             let j = i + (i & i.wrapping_neg());
-            if j <= cap {
-                tree[j] += tree[i];
+            if j < index.tree.len() {
+                index.tree[j] += index.tree[i];
             }
         }
-        LiveIndex { tree, cap }
+        index
     }
 
-    fn add(&mut self, i: usize, delta: i32) {
-        let mut i = i + 1;
-        while i <= self.cap {
-            self.tree[i] = (self.tree[i] as i32 + delta) as u32;
-            i += i & i.wrapping_neg();
+    /// Number of slots the bitmap covers.
+    fn cap(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// The words of block `b`.
+    fn block(&self, b: usize) -> &[u64] {
+        &self.words[b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS]
+    }
+
+    /// Live slots in block `b`, by popcount.
+    fn count(&self, b: usize) -> u32 {
+        self.block(b).iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Mark slot `i` live (`live`) or dead; it must currently be the
+    /// other.
+    fn set(&mut self, i: usize, live: bool) {
+        let bit = 1u64 << (i % 64);
+        debug_assert_eq!(
+            self.words[i / 64] & bit == 0,
+            live,
+            "slot {i} already in that state"
+        );
+        self.words[i / 64] ^= bit;
+        let mut b = i / BLOCK_BITS + 1;
+        while b < self.tree.len() {
+            if live {
+                self.tree[b] += 1;
+            } else {
+                self.tree[b] -= 1;
+            }
+            b += b & b.wrapping_neg();
         }
     }
 
     /// Slot index of the k-th (0-indexed) live node in increasing order.
     /// The caller guarantees `k <` the number of live nodes.
     fn select(&self, k: usize) -> usize {
-        let mut pos = 0usize;
-        let mut rem = (k + 1) as u32;
-        let mut pw = self.cap.next_power_of_two();
-        if pw > self.cap {
-            pw /= 2;
-        }
-        while pw > 0 {
-            let next = pos + pw;
-            if next <= self.cap && self.tree[next] < rem {
+        // Live slots still to skip: first whole blocks, then whole words.
+        let mut rem = k as u32;
+        let blocks = self.tree.len() - 1;
+        let mut b = 0usize;
+        let mut step = 1usize << blocks.ilog2();
+        while step > 0 {
+            let next = b + step;
+            if next <= blocks && self.tree[next] <= rem {
                 rem -= self.tree[next];
-                pos = next;
+                b = next;
             }
-            pw /= 2;
+            step /= 2;
         }
-        pos // tree is 1-indexed: `pos` live entries precede slot `pos`.
+        // `b` whole blocks precede the answer's block.
+        let words = self.block(b);
+        let mut w = 0;
+        while words[w].count_ones() <= rem {
+            rem -= words[w].count_ones();
+            w += 1;
+        }
+        b * BLOCK_BITS + w * 64 + select_in_word(words[w], rem)
     }
+
+    /// Every bit equal to its slot's liveness flag, and every block's
+    /// count in the tree equal to the popcount of its words: the index
+    /// equals one built afresh from the flags.
+    fn validate(&self, adj: &[ChunkRef]) -> Result<()> {
+        let fresh = LiveIndex::new(self.cap(), adj);
+        if fresh.words != self.words {
+            return Err(GraphError::Corrupt("live index bit"));
+        }
+        if fresh.tree != self.tree {
+            return Err(GraphError::Corrupt("live index block count"));
+        }
+        Ok(())
+    }
+}
+
+/// Bit position of the r-th (0-indexed) set bit of `word`, which has
+/// more than `r` set bits: halve the window while its low half holds too
+/// few, then clear the `r` lowest bits left in the final byte.
+fn select_in_word(mut word: u64, mut r: u32) -> usize {
+    let mut base = 0;
+    for width in [32, 16, 8] {
+        let low = (word & ((1u64 << width) - 1)).count_ones();
+        if r >= low {
+            r -= low;
+            word >>= width;
+            base += width;
+        }
+    }
+    for _ in 0..r {
+        word &= word - 1;
+    }
+    base + word.trailing_zeros() as usize
 }
 
 /// The read surface of a graph that the whole-graph algorithms need
@@ -382,8 +474,8 @@ pub struct Graph {
     /// Degree buckets for O(extreme-bucket) max/min-degree queries,
     /// built by the first such query.
     degrees: OnceLock<DegreeIndex>,
-    /// Fenwick index for O(log n) k-th-live-node selection, built by the
-    /// first such query.
+    /// Liveness bitmap for O(log n) k-th-live-node selection, built by
+    /// the first such query.
     live_index: OnceLock<LiveIndex>,
 }
 
@@ -455,11 +547,10 @@ impl Graph {
             degrees.push_node(id);
         }
         if let Some(index) = self.live_index.get_mut() {
-            if self.adj.len() > index.cap {
-                let cap = (index.cap * 2).max(self.adj.len()).max(16);
-                *index = LiveIndex::new(cap, &self.adj);
+            if self.adj.len() > index.cap() {
+                *index = LiveIndex::new(index.cap() * 2, &self.adj);
             } else {
-                index.add(id.index(), 1);
+                index.set(id.index(), true);
             }
         }
         id
@@ -590,6 +681,19 @@ impl Graph {
     /// caller-owned buffer (cleared first), so steady-state deletion loops
     /// can reuse one allocation across rounds. On error the buffer is left
     /// cleared and the graph untouched.
+    ///
+    /// The neighbours are detached in fixed-size batches, each in two
+    /// passes. The first only reads: it binary-searches `v` in every
+    /// neighbour's list and keeps the positions in a stack array. The
+    /// second removes at those positions and moves the degree buckets. On a graph larger than the caches each search is one or
+    /// two misses (the neighbour's handle, then its chunk), and
+    /// interleaving them with the writes made them wait one at a time;
+    /// searches that only read are independent, so their misses overlap.
+    /// A position stays valid because no two neighbours share a list.
+    /// Degree-bucket positions are not gathered in the first pass: a
+    /// bucket `swap_remove` moves another member of the same bucket,
+    /// which may be a later neighbour, so its gathered position would go
+    /// stale.
     pub fn remove_node_into(&mut self, v: NodeId, neighbors: &mut Vec<NodeId>) -> Result<()> {
         neighbors.clear();
         self.check_alive(v)?;
@@ -606,27 +710,35 @@ impl Graph {
         if let Some(degrees) = degrees.as_deref_mut() {
             degrees.remove(v, neighbors.len());
         }
-        for &u in neighbors.iter() {
-            let pos = self
-                .pool
-                .slice(&self.adj[u.index()])
-                .binary_search(&v)
-                // panic-ok: adjacency symmetry is a structural invariant
-                // every mutation maintains; asymmetry means memory
-                // corruption and must not be papered over.
-                .expect("asymmetric adjacency detected");
-            let du = self.adj[u.index()].len();
-            let mut r = self.adj[u.index()];
-            self.pool.remove_at(&mut r, pos);
-            self.adj[u.index()] = r;
-            if let Some(degrees) = degrees.as_deref_mut() {
-                degrees.change(u, du, du - 1);
+        // Read, then write, one batch at a time: find `v` in every
+        // neighbour's list before touching any (see the method docs).
+        // A position fits in `u32`, as a list's length does.
+        let mut positions = [0u32; REMOVAL_BATCH];
+        for batch in neighbors.chunks(REMOVAL_BATCH) {
+            for (pos, &u) in positions.iter_mut().zip(batch) {
+                *pos = self
+                    .pool
+                    .slice(&self.adj[u.index()])
+                    .binary_search(&v)
+                    // panic-ok: adjacency symmetry is a structural invariant
+                    // every mutation maintains; asymmetry means memory
+                    // corruption and must not be papered over.
+                    .expect("asymmetric adjacency detected") as u32;
+            }
+            for (&pos, &u) in positions.iter().zip(batch) {
+                let mut r = self.adj[u.index()];
+                let du = r.len();
+                self.pool.remove_at(&mut r, pos as usize);
+                self.adj[u.index()] = r;
+                if let Some(degrees) = degrees.as_deref_mut() {
+                    degrees.change(u, du, du - 1);
+                }
             }
         }
         self.edge_count -= neighbors.len();
         self.live_count -= 1;
         if let Some(live_index) = self.live_index.get_mut() {
-            live_index.add(v.index(), -1);
+            live_index.set(v.index(), false);
         }
         Ok(())
     }
@@ -769,7 +881,8 @@ impl Graph {
             degrees.validate(self)?;
         }
         if let Some(live_index) = self.live_index.get() {
-            // Fenwick rank/select must agree with the liveness flags.
+            live_index.validate(&self.adj)?;
+            // Select must agree with the liveness flags.
             for (k, v) in self.live_nodes().enumerate() {
                 if live_index.select(k) != v.index() {
                     return Err(GraphError::Corrupt("live index select"));
@@ -992,6 +1105,124 @@ mod tests {
         g.max_degree_node();
         g.degrees.get_mut().unwrap().pos.swap(0, 2);
         assert_eq!(g.validate(), Err(GraphError::Corrupt("degree index entry")));
+        let mut g = path(3);
+        g.nth_live(0);
+        g.live_index.get_mut().unwrap().words[0] ^= 1 << 5;
+        assert_eq!(g.validate(), Err(GraphError::Corrupt("live index bit")));
+        let mut g = path(3);
+        g.nth_live(0);
+        g.live_index.get_mut().unwrap().tree[1] += 1;
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::Corrupt("live index block count"))
+        );
+    }
+
+    #[test]
+    fn select_in_word_finds_every_set_bit() {
+        let mut word = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            word = word
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            for w in [
+                word,
+                word & (word >> 7),
+                word | (word << 3),
+                u64::MAX,
+                1 << 63,
+            ] {
+                let bits: Vec<usize> = (0..64).filter(|&b| (w >> b) & 1 == 1).collect();
+                for (r, &b) in bits.iter().enumerate() {
+                    assert_eq!(select_in_word(w, r as u32), b, "word {w:#x}, r = {r}");
+                }
+            }
+        }
+    }
+
+    /// `nth_live(k)` against `live_nodes().nth(k)` for every k, `None` at
+    /// the live count, and `validate` (bits and block counts included).
+    fn assert_select_matches_scan(g: &Graph) {
+        let live: Vec<NodeId> = g.live_nodes().collect();
+        for (k, &v) in live.iter().enumerate() {
+            assert_eq!(g.nth_live(k), Some(v), "k = {k} of {}", live.len());
+        }
+        assert_eq!(g.nth_live(live.len()), None);
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn live_index_selects_across_word_and_block_boundaries() {
+        for n in [63, 64, 65, 511, 512, 513, 4095, 4096, 4097] {
+            let mut g = path(n);
+            assert_select_matches_scan(&g);
+            g.remove_node(NodeId(0)).unwrap();
+            assert_select_matches_scan(&g);
+            g.remove_node(NodeId::from_index(n - 1)).unwrap();
+            assert_select_matches_scan(&g);
+            // Joins up to the bitmap's capacity set bits in place; the
+            // next one rebuilds it at twice the capacity.
+            let cap = g.live_index.get().unwrap().cap();
+            while g.node_bound() <= cap {
+                let v = g.add_node();
+                g.add_edge(NodeId(1), v).unwrap();
+            }
+            assert_eq!(g.live_index.get().unwrap().cap(), 2 * cap, "n = {n}");
+            assert_select_matches_scan(&g);
+            assert_select_matches_scan(&g.clone());
+            let keep = NodeId::from_index(n / 2);
+            for v in 0..g.node_bound() {
+                let v = NodeId::from_index(v);
+                if v != keep && g.is_alive(v) {
+                    g.remove_node(v).unwrap();
+                }
+            }
+            assert_eq!(g.nth_live(0), Some(keep));
+            assert_select_matches_scan(&g);
+            assert_select_matches_scan(&g.clone());
+        }
+    }
+
+    /// Remove `v` from `g` and from a reference adjacency, with both side
+    /// indexes built, and require the two to agree.
+    fn assert_removal_matches_reference(mut g: Graph, v: NodeId) {
+        assert!(g.degree(v) > 2 * REMOVAL_BATCH, "removal spans > 2 batches");
+        g.max_degree_node();
+        g.nth_live(0);
+        let mut reference: Vec<Vec<NodeId>> = (0..g.node_bound())
+            .map(|u| g.neighbors(NodeId::from_index(u)).to_vec())
+            .collect();
+        let former = std::mem::take(&mut reference[v.index()]);
+        for &u in &former {
+            reference[u.index()].retain(|&w| w != v);
+        }
+        assert_eq!(g.remove_node(v).unwrap(), former);
+        for (u, nbrs) in reference.iter().enumerate() {
+            assert_eq!(g.neighbors(NodeId::from_index(u)), &nbrs[..], "node {u}");
+        }
+        assert_eq!(g.edge_count() * 2, reference.iter().map(Vec::len).sum());
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn removal_over_several_batches_matches_a_reference() {
+        // The degree index is built first and the spokes join bucket 1
+        // in a scrambled order, so the bucket `swap_remove` of one spoke
+        // often moves a later spoke of the same batch: positions gathered
+        // in the read pass would go stale.
+        let mut star = Graph::new(41);
+        star.max_degree_node();
+        for i in 1..41u32 {
+            star.add_edge(NodeId(0), NodeId(i * 17 % 41)).unwrap();
+        }
+        assert_removal_matches_reference(star, NodeId(0));
+        let ba = crate::generators::barabasi_albert(
+            2000,
+            3,
+            &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7),
+        );
+        let hub = ba.max_degree_node().unwrap();
+        assert_removal_matches_reference(ba, hub);
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn golden_ba_fingerprint() -> u64 {
 /// Byte-identity of the full healing *trajectory*, not just the final
 /// aggregates: every round's victim, reconstruction set, added edges and
 /// propagation accounting is folded into one FNV-1a fingerprint. The
-/// pooled-adjacency store, the degree-bucket extremes, the Fenwick live
+/// pooled-adjacency store, the degree-bucket extremes, the live-bitmap
 /// sampler and the restricted broadcast all sit under this hash — any
 /// deviation in any round of either healer moves it.
 #[test]
