@@ -1,5 +1,7 @@
 //! Generator throughput: the experiments build thousands of graphs, so
-//! generation must stay cheap relative to the sweeps themselves.
+//! generation must stay cheap relative to the sweeps themselves. The
+//! largest BA build, 2¹⁶ nodes, does not fit in cache: its neighbor-list
+//! writes land all over the arena.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -12,7 +14,7 @@ fn bench_generators(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    for n in [256usize, 1024, 4096] {
+    for n in [256usize, 1024, 4096, 65536] {
         group.bench_with_input(BenchmarkId::new("barabasi_albert_m3", n), &n, |b, &n| {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| black_box(generators::barabasi_albert(n, 3, &mut rng)));

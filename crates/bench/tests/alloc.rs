@@ -22,6 +22,10 @@
 //!   `join_growth_allocates_no_more_than_the_parent_layout`, which holds
 //!   that growth over 2¹⁶ joins to a fixed count.
 //!
+//! Every run starts from a generated graph:
+//! `a_ba_build_allocates_a_constant_count` holds a BA build, which sizes
+//! each neighbor list once, to a fixed count whatever n is.
+//!
 //! The graph's side indexes are built by their first query, inside
 //! whichever run asks first; `first_index_queries_allocate_a_constant_count`
 //! holds that build to a fixed allocation count, whatever the graph's size,
@@ -44,8 +48,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations of `join_growth_allocates_no_more_than_the_parent_layout`'s
 /// stream on the layout before the slot records absorbed G′ (measured:
-/// 34; the segmented slot records make 21).
+/// 34; the segmented slot records make 22).
 const JOIN_GROWTH_BOUND: u64 = 34;
+
+/// Allocations of one `barabasi_albert(n, 3)` build, whatever n is: the
+/// `endpoints` list, the attachment picks, the degree counts, the arena
+/// and the neighbor-list handles.
+const BA_BUILD_ALLOCS: u64 = 5;
 
 #[test]
 fn steady_state_heal_loop_allocates_nothing() {
@@ -193,6 +202,17 @@ fn steady_state_churn_allocates_only_for_new_node_slots() {
         allocs < 64,
         "{allocs} allocation(s) during 4096 steady-state churn events ({joins} joins)"
     );
+}
+
+#[test]
+fn a_ba_build_allocates_a_constant_count() {
+    for n in [1usize << 12, 1 << 16] {
+        let before = thread_allocations();
+        let g = barabasi_albert(n, 3, &mut StdRng::seed_from_u64(20080124));
+        let allocs = thread_allocations() - before;
+        assert_eq!(allocs, BA_BUILD_ALLOCS, "BA({n}, 3) build");
+        assert_eq!(g.edge_count(), 6 + (n - 4) * 3);
+    }
 }
 
 #[test]

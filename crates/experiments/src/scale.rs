@@ -10,17 +10,21 @@
 //! - `rack-partition(8)`: coordinated batch kills of shuffled racks.
 //!
 //! Each configuration runs three times and reports its median run (by
-//! events/sec): wall-clock events/sec, the process's peak RSS (`VmHWM`
-//! from `/proc/self/status`; cumulative, hence monotone across rows), and
-//! the heap-allocation count during the run (non-zero only when the
-//! binary installs `selfheal_bench::alloc::CountingAlloc`, which
-//! `run-experiments` does).
+//! events/sec): the build time (BA generation plus
+//! `HealingNetwork::new`), wall-clock events/sec, the process's peak RSS
+//! (`VmHWM` from `/proc/self/status`; cumulative, hence monotone across
+//! rows), and the heap-allocation count during the run (non-zero only
+//! when the binary installs `selfheal_bench::alloc::CountingAlloc`,
+//! which `run-experiments` does).
 //!
 //! A per-event cost ladder follows the rows: DASH under `random-churn`
 //! at n = 10⁴, 2·10⁵ and 10⁶, as ns/event, and the 10⁶:10⁴ ratio. The
-//! 10⁶ step reads the dash `random-churn` row. A smaller step is the
-//! median of three measurements, printed with their min–max, and each
-//! measurement repeats the seeded episode until at least
+//! ladder is measured in three rounds, each measuring every size once,
+//! smallest first in even rounds and largest first in odd ones, so a
+//! drift in the host's speed over the ladder's minutes lands on every
+//! size alike. A step is the median of its three measurements, printed
+//! with their min–max, and the ratio is the median of the per-round
+//! ratios. Each measurement repeats the seeded episode until at least
 //! [`LADDER_MIN_STEPPING`] of stepping has been timed (one 10⁴ episode
 //! takes milliseconds, too short to time alone). DASH's work per event
 //! does not grow with n (it rewires only the victim's neighbours, and
@@ -66,6 +70,9 @@ pub struct ScaleRow {
     pub events: u64,
     /// Nodes joined mid-run (random-churn only).
     pub joins: u64,
+    /// Wall-clock time to build the network: BA generation plus
+    /// `HealingNetwork::new`.
+    pub build: Duration,
     /// Wall-clock time for the run (graph build excluded).
     pub elapsed: Duration,
     /// Events per second of wall-clock.
@@ -99,8 +106,10 @@ fn run_one<H: Healer>(
     seed: u64,
     churn: bool,
 ) -> ScaleRow {
+    let t_build = Instant::now();
     let g = barabasi_albert(n, M, &mut StdRng::seed_from_u64(seed));
     let net = HealingNetwork::new(g, seed);
+    let build = t_build.elapsed();
     let allocs_before = total_allocations();
     let t0 = Instant::now();
     let (report, live, adversary) = if churn {
@@ -124,6 +133,7 @@ fn run_one<H: Healer>(
         n,
         events: report.events,
         joins: report.joins,
+        build,
         elapsed,
         events_per_sec: report.events as f64 / elapsed.as_secs_f64().max(1e-9),
         peak_rss_kb: peak_rss_kb(),
@@ -160,17 +170,21 @@ pub fn run_with_size(n: usize, seed: u64) -> Vec<ScaleRow> {
 pub struct LadderStep {
     /// Initial node count.
     pub n: usize,
-    /// Wall-clock ns per event, DASH under `random-churn`: the median
-    /// measurement, or the row's median run.
+    /// Wall-clock ns per event, DASH under `random-churn`: the median of
+    /// the step's measurements, one per round.
     pub ns_per_event: f64,
-    /// The smallest and largest of the step's measurements; `None` for a
-    /// step read from a row.
-    pub range: Option<(f64, f64)>,
+    /// The smallest and largest of the step's measurements.
+    pub range: (f64, f64),
 }
 
-/// ns/event of a measured row.
-fn ns_per_event(row: &ScaleRow) -> f64 {
-    1e9 / row.events_per_sec.max(1e-9)
+/// The per-event cost ladder.
+#[derive(Clone, Debug)]
+pub struct Ladder {
+    /// One step per size, smallest first.
+    pub steps: Vec<LadderStep>,
+    /// The median over rounds of the largest size's ns/event over the
+    /// smallest's, both measured in that round.
+    pub ratio: f64,
 }
 
 /// ns/event of DASH under `random-churn` at `n`, over as many runs of
@@ -187,41 +201,47 @@ fn repeated_episodes(n: usize, seed: u64, min_stepping: Duration) -> f64 {
     }
 }
 
-/// The per-event cost ladder at `sizes`, smallest first. A size that
-/// `rows` already measured (its `dash`/`random-churn` row) is read from
-/// that row; the others take the median of three measurements, each
-/// repeating the seeded episode until it has timed `min_stepping`.
-pub fn ladder(
-    sizes: &[usize],
-    seed: u64,
-    rows: &[ScaleRow],
-    min_stepping: Duration,
-) -> Vec<LadderStep> {
-    sizes
+/// The median of `xs` and its min–max.
+fn median_and_range(mut xs: [f64; RUNS]) -> (f64, (f64, f64)) {
+    xs.sort_by(f64::total_cmp);
+    (xs[RUNS / 2], (xs[0], xs[RUNS - 1]))
+}
+
+/// The per-event cost ladder at `sizes`, smallest first, over three
+/// rounds. Each round measures every size once, in increasing order in
+/// even rounds and decreasing order in odd ones; each measurement
+/// repeats the seeded episode until it has timed `min_stepping`.
+pub fn ladder(sizes: &[usize], seed: u64, min_stepping: Duration) -> Ladder {
+    let rounds: Vec<Vec<f64>> = (0..RUNS)
+        .map(|round| {
+            let mut order: Vec<usize> = (0..sizes.len()).collect();
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            let mut ns = vec![0.0; sizes.len()];
+            for i in order {
+                ns[i] = repeated_episodes(sizes[i], seed, min_stepping);
+            }
+            ns
+        })
+        .collect();
+    let steps = sizes
         .iter()
-        .map(|&n| {
-            let row = rows
-                .iter()
-                .find(|r| r.n == n && r.healer == "dash" && r.adversary == "random-churn");
-            if let Some(row) = row {
-                return LadderStep {
-                    n,
-                    ns_per_event: ns_per_event(row),
-                    range: None,
-                };
-            }
-            let mut ns = [0.0; RUNS];
-            for x in &mut ns {
-                *x = repeated_episodes(n, seed, min_stepping);
-            }
-            ns.sort_by(f64::total_cmp);
+        .enumerate()
+        .map(|(i, &n)| {
+            let (ns_per_event, range) = median_and_range(std::array::from_fn(|r| rounds[r][i]));
             LadderStep {
                 n,
-                ns_per_event: ns[RUNS / 2],
-                range: Some((ns[0], ns[RUNS - 1])),
+                ns_per_event,
+                range,
             }
         })
-        .collect()
+        .collect();
+    let ratio = match sizes.len() {
+        0 => f64::NAN,
+        k => median_and_range(std::array::from_fn(|r| rounds[r][k - 1] / rounds[r][0])).0,
+    };
+    Ladder { steps, ratio }
 }
 
 /// E11's measurements: the configuration rows and the cost ladder.
@@ -230,43 +250,39 @@ pub struct ScaleReport {
     /// {dash, sdash} × {random-churn, rack-partition} at the run's n.
     pub rows: Vec<ScaleRow>,
     /// DASH `random-churn` ns/event at [`LADDER`]'s sizes.
-    pub ladder: Vec<LadderStep>,
+    pub ladder: Ladder,
 }
 
 /// Run E11 at full scale: BA(10⁶, 3), or 2·10⁶ with `--full`, then the
-/// ladder (whose 10⁶ step reuses the quick run's row).
+/// ladder.
 pub fn run(scale: Scale, seed: u64) -> ScaleReport {
     let n = match scale {
         Scale::Quick => 1_000_000,
         Scale::Full => 2_000_000,
     };
     let rows = run_with_size(n, seed);
-    let ladder = ladder(&LADDER, seed, &rows, LADDER_MIN_STEPPING);
+    let ladder = ladder(&LADDER, seed, LADDER_MIN_STEPPING);
     ScaleReport { rows, ladder }
 }
 
 /// The ladder as a table, then the largest-to-smallest ns/event ratio.
-pub fn render_ladder(steps: &[LadderStep]) -> String {
+pub fn render_ladder(ladder: &Ladder) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "dash random-churn cost per event (median of {RUNS} measurements, min–max)"
+        "dash random-churn cost per event ({RUNS} rounds, each size once per round; median, min–max)"
     );
     let _ = writeln!(out, "{:>9} {:>10} {:>13}", "n", "ns/event", "min–max");
-    for s in steps {
-        let range = match s.range {
-            Some((lo, hi)) => format!("{lo:.0}–{hi:.0}"),
-            None => "(row)".to_string(),
-        };
+    for s in &ladder.steps {
+        let (lo, hi) = s.range;
+        let range = format!("{lo:.0}–{hi:.0}");
         let _ = writeln!(out, "{:>9} {:>10.0} {:>13}", s.n, s.ns_per_event, range);
     }
-    if let (Some(lo), Some(hi)) = (steps.first(), steps.last()) {
+    if let (Some(lo), Some(hi)) = (ladder.steps.first(), ladder.steps.last()) {
         let _ = writeln!(
             out,
-            "ratio n={}:n={} {:.2}",
-            hi.n,
-            lo.n,
-            hi.ns_per_event / lo.ns_per_event
+            "ratio n={}:n={} {:.2} (median of per-round ratios)",
+            hi.n, lo.n, ladder.ratio
         );
     }
     out
@@ -277,12 +293,13 @@ pub fn render(rows: &[ScaleRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<7} {:<15} {:>9} {:>10} {:>8} {:>9} {:>12} {:>12} {:>12} {:>6}",
+        "{:<7} {:<15} {:>9} {:>10} {:>8} {:>8} {:>9} {:>12} {:>12} {:>12} {:>6}",
         "healer",
         "adversary",
         "n",
         "events",
         "joins",
+        "build_s",
         "time_s",
         "events/sec",
         "peak_rss_kb",
@@ -292,12 +309,13 @@ pub fn render(rows: &[ScaleRow]) -> String {
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<7} {:<15} {:>9} {:>10} {:>8} {:>9.2} {:>12.0} {:>12} {:>12} {:>6}{}",
+            "{:<7} {:<15} {:>9} {:>10} {:>8} {:>8.3} {:>9.2} {:>12.0} {:>12} {:>12} {:>6}{}",
             r.healer,
             r.adversary,
             r.n,
             r.events,
             r.joins,
+            r.build.as_secs_f64(),
             r.elapsed.as_secs_f64(),
             r.events_per_sec,
             r.peak_rss_kb
@@ -332,6 +350,7 @@ mod tests {
                 r.adversary
             );
             assert!(r.events_per_sec > 0.0);
+            assert!(r.build > Duration::ZERO);
         }
         // Both adversaries and both healers appear.
         assert!(rows
@@ -351,21 +370,23 @@ mod tests {
     }
 
     #[test]
-    fn ladder_measures_each_size_and_reuses_a_measured_row() {
-        let rows = run_with_size(300, 5);
-        let steps = ladder(&[100, 300], 5, &rows, Duration::ZERO);
+    fn ladder_measures_every_size_in_every_round() {
+        let ladder = ladder(&[100, 300], 5, Duration::ZERO);
+        let steps = &ladder.steps;
         assert_eq!(steps.iter().map(|s| s.n).collect::<Vec<_>>(), [100, 300]);
-        assert!(steps.iter().all(|s| s.ns_per_event > 0.0));
-        let row = rows
-            .iter()
-            .find(|r| r.healer == "dash" && r.adversary == "random-churn")
-            .unwrap();
-        assert_eq!(steps[1].ns_per_event, ns_per_event(row));
-        let table = render_ladder(&steps);
+        for s in steps {
+            let (lo, hi) = s.range;
+            assert!(0.0 < lo && lo <= s.ns_per_event && s.ns_per_event <= hi);
+        }
+        // Each round's ratio lies between the extremes of the two steps'
+        // measurements, and so does their median.
+        let (lo, hi) = (steps[0].range, steps[1].range);
+        assert!(hi.0 / lo.1 <= ladder.ratio && ladder.ratio <= hi.1 / lo.0);
+        let table = render_ladder(&ladder);
         assert_eq!(table.lines().count(), 5);
         assert!(table.ends_with(&format!(
-            "ratio n=300:n=100 {:.2}\n",
-            steps[1].ns_per_event / steps[0].ns_per_event
+            "ratio n=300:n=100 {:.2} (median of per-round ratios)\n",
+            ladder.ratio
         )));
     }
 
@@ -374,6 +395,7 @@ mod tests {
         let rows = run_with_size(200, 3);
         let table = render(&rows);
         assert!(table.contains("events/sec"));
+        assert!(table.contains("build_s"));
         assert_eq!(table.lines().count(), 5);
     }
 }

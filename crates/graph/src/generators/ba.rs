@@ -1,6 +1,16 @@
 //! Barabási–Albert preferential attachment (the paper's experiment
 //! workload, refs [3, 4] in the paper).
+//!
+//! The generator keeps one `endpoints` list, two entries per edge in the
+//! order the edges arrive: sampling it uniformly samples nodes by
+//! degree, and read as consecutive pairs it is the edge list. So no
+//! graph exists while edges are drawn; [`Graph::from_edges`] builds it
+//! once at the end, carving each neighbor list at its final size in an
+//! arena with power-of-two spare room (see `crate::pool`), and sorts
+//! only the lists that need it (a node's own picks come first,
+//! unsorted; later ids arrive in increasing order).
 
+use super::from_generated;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use rand::Rng;
@@ -26,18 +36,13 @@ use rand::Rng;
 pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
     assert!(m >= 1, "attachment count m must be >= 1");
     assert!(n > m, "need at least m + 1 = {} nodes, got {n}", m + 1);
-    let mut g = Graph::new(n);
     // `endpoints` holds one entry per edge endpoint; sampling an index
     // uniformly therefore samples nodes proportional to degree.
     let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * m * n);
     for i in 0..=m {
         for j in 0..i {
-            let (u, v) = (NodeId::from_index(i), NodeId::from_index(j));
-            // panic-ok: seed-clique indices are in range and distinct by
-            // loop construction.
-            g.add_edge(u, v).unwrap();
-            endpoints.push(u);
-            endpoints.push(v);
+            endpoints.push(NodeId::from_index(i));
+            endpoints.push(NodeId::from_index(j));
         }
     }
     let mut picked: Vec<NodeId> = Vec::with_capacity(m);
@@ -50,15 +55,14 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Grap
                 picked.push(candidate);
             }
         }
+        // `picked` holds distinct earlier nodes and `v` is the fresh
+        // node, so every edge is valid and new.
         for &u in &picked {
-            // panic-ok: `picked` holds distinct earlier nodes and `v` is
-            // the fresh node, so the edge is always valid and new.
-            g.add_edge(v, u).unwrap();
             endpoints.push(v);
             endpoints.push(u);
         }
     }
-    g
+    from_generated(n, endpoints.as_chunks().0)
 }
 
 #[cfg(test)]

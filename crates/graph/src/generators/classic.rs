@@ -1,72 +1,62 @@
 //! Deterministic classic topologies: path, cycle, star, complete, grid.
 
+use super::from_generated;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 
+/// The edges `i - 1 — i` of the path over `n` nodes, with room for one
+/// more.
+fn path_edges(n: usize) -> Vec<[NodeId; 2]> {
+    let mut edges = Vec::with_capacity(n);
+    edges.extend((1..n).map(|i| [NodeId::from_index(i - 1), NodeId::from_index(i)]));
+    edges
+}
+
 /// Path graph `0 - 1 - ... - (n-1)`.
 pub fn path_graph(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge(NodeId::from_index(i - 1), NodeId::from_index(i))
-            // panic-ok: consecutive in-range indices, each edge fresh.
-            .unwrap();
-    }
-    g
+    from_generated(n, &path_edges(n))
 }
 
 /// Cycle graph over `n >= 3` nodes (for `n < 3` falls back to a path).
 pub fn cycle_graph(n: usize) -> Graph {
-    let mut g = path_graph(n);
+    let mut edges = path_edges(n);
     if n >= 3 {
-        // panic-ok: the closing edge is new (a path has no wraparound)
-        // and both endpoints are in range.
-        g.add_edge(NodeId::from_index(n - 1), NodeId(0)).unwrap();
+        // A path has no wraparound, so the closing edge is new.
+        edges.push([NodeId::from_index(n - 1), NodeId(0)]);
     }
-    g
+    from_generated(n, &edges)
 }
 
 /// Star graph: node 0 is the hub, nodes `1..n` are spokes.
 pub fn star_graph(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        // panic-ok: hub-to-spoke edges are in range and each is fresh.
-        g.add_edge(NodeId(0), NodeId::from_index(i)).unwrap();
-    }
-    g
+    let edges: Vec<[NodeId; 2]> = (1..n).map(|i| [NodeId(0), NodeId::from_index(i)]).collect();
+    from_generated(n, &edges)
 }
 
 /// Complete graph `K_n`.
 pub fn complete_graph(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            g.add_edge(NodeId::from_index(i), NodeId::from_index(j))
-                // panic-ok: `j > i` keeps endpoints distinct, in range,
-                // and each unordered pair visited once.
-                .unwrap();
-        }
-    }
-    g
+    // `j > i` keeps endpoints distinct and visits each pair once.
+    let edges: Vec<[NodeId; 2]> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| [NodeId::from_index(i), NodeId::from_index(j)]))
+        .collect();
+    from_generated(n, &edges)
 }
 
 /// `rows x cols` 4-connected grid; node `(r, c)` has id `r * cols + c`.
 pub fn grid_graph(rows: usize, cols: usize) -> Graph {
-    let mut g = Graph::new(rows * cols);
+    let mut edges = Vec::new();
     for r in 0..rows {
         for c in 0..cols {
             let v = NodeId::from_index(r * cols + c);
             if c + 1 < cols {
-                // panic-ok: bounds-checked grid neighbor, visited once.
-                g.add_edge(v, NodeId::from_index(r * cols + c + 1)).unwrap();
+                edges.push([v, NodeId::from_index(r * cols + c + 1)]);
             }
             if r + 1 < rows {
-                g.add_edge(v, NodeId::from_index((r + 1) * cols + c))
-                    // panic-ok: bounds-checked grid neighbor, visited once.
-                    .unwrap();
+                edges.push([v, NodeId::from_index((r + 1) * cols + c)]);
             }
         }
     }
-    g
+    from_generated(rows * cols, &edges)
 }
 
 #[cfg(test)]

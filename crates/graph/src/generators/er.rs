@@ -1,5 +1,6 @@
 //! Erdős–Rényi random graphs, G(n, p) and G(n, m) flavors.
 
+use super::from_generated;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use rand::Rng;
@@ -11,24 +12,25 @@ use rand::Rng;
 /// Panics if `p` is not within `[0, 1]`.
 pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    let mut g = Graph::new(n);
     if p == 0.0 {
-        return g;
+        return Graph::new(n);
     }
+    // `j > i` keeps endpoints distinct and visits each pair once.
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             if p >= 1.0 || rng.gen_bool(p) {
-                g.add_edge(NodeId::from_index(i), NodeId::from_index(j))
-                    // panic-ok: `j > i` keeps endpoints distinct and each
-                    // pair is visited once.
-                    .unwrap();
+                edges.push([NodeId::from_index(i), NodeId::from_index(j)]);
             }
         }
     }
-    g
+    from_generated(n, &edges)
 }
 
 /// G(n, m): exactly `m` distinct edges chosen uniformly at random.
+///
+/// Builds with [`Graph::add_edge`], not [`Graph::from_edges`]: rejection
+/// sampling asks the graph whether each drawn edge is already present.
 ///
 /// # Panics
 /// Panics if `m` exceeds the number of possible edges `n (n-1) / 2`.

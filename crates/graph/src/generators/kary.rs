@@ -6,6 +6,7 @@
 //! graph, so this generator returns a [`KaryTree`] carrying that metadata
 //! alongside the [`Graph`].
 
+use super::from_generated;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 
@@ -32,18 +33,16 @@ impl KaryTree {
     pub fn new(arity: usize, depth: u32) -> Self {
         assert!(arity >= 1, "arity must be >= 1");
         let n = Self::size_for(arity, depth);
-        let mut graph = Graph::new(n);
         let mut levels = vec![0u32; n];
+        let mut edges = Vec::with_capacity(n.saturating_sub(1));
+        // `parent < i < n`, each child linked once.
         for i in 1..n {
             let parent = (i - 1) / arity;
-            graph
-                .add_edge(NodeId::from_index(parent), NodeId::from_index(i))
-                // panic-ok: `parent < i < n`, each child linked once.
-                .unwrap();
+            edges.push([NodeId::from_index(parent), NodeId::from_index(i)]);
             levels[i] = levels[parent] + 1;
         }
         KaryTree {
-            graph,
+            graph: from_generated(n, &edges),
             arity,
             depth,
             levels,

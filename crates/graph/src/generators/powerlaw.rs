@@ -26,6 +26,9 @@ fn sample_degree<R: Rng + ?Sized>(weights: &[f64], d_min: usize, rng: &mut R) ->
 
 /// Erased configuration model with power-law degrees.
 ///
+/// Builds with [`Graph::add_edge`], not [`Graph::from_edges`]: erasing a
+/// repeated stub pair asks the graph whether the edge is already there.
+///
 /// # Panics
 /// Panics if `d_min == 0`, `d_min > d_max`, or `d_max >= n`.
 pub fn powerlaw_configuration<R: Rng + ?Sized>(

@@ -1,5 +1,6 @@
 //! Random tree generators used by tests and the Lemma 10 experiments.
 
+use super::from_generated;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use rand::Rng;
@@ -7,38 +8,35 @@ use rand::Rng;
 /// Random recursive tree: node `i` attaches to a uniformly random earlier
 /// node. Always a tree over `n` nodes.
 pub fn random_recursive_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        g.add_edge(NodeId::from_index(parent), NodeId::from_index(i))
-            // panic-ok: `parent < i < n`, each node attached once.
-            .unwrap();
-    }
-    g
+    // `parent < i < n`, each node attached once.
+    let edges: Vec<[NodeId; 2]> = (1..n)
+        .map(|i| {
+            let parent = rng.gen_range(0..i);
+            [NodeId::from_index(parent), NodeId::from_index(i)]
+        })
+        .collect();
+    from_generated(n, &edges)
 }
 
 /// Preferential-attachment tree (Barabási–Albert with `m = 1`): node `i`
-/// attaches to an earlier node chosen proportional to degree.
+/// attaches to an earlier node chosen proportional to degree. As in
+/// [`barabasi_albert`](super::barabasi_albert), the sampled `endpoints`
+/// list, read as pairs, is the edge list.
 pub fn preferential_attachment_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
-    let mut g = Graph::new(n);
     if n <= 1 {
-        return g;
+        return Graph::new(n);
     }
     let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * n);
-    // panic-ok: `n > 1` checked above; the seed edge is fresh.
-    g.add_edge(NodeId(0), NodeId(1)).unwrap();
     endpoints.push(NodeId(0));
     endpoints.push(NodeId(1));
+    // `v` is fresh, so its edge to any earlier node is new.
     for i in 2..n {
         let v = NodeId::from_index(i);
         let u = endpoints[rng.gen_range(0..endpoints.len())];
-        // panic-ok: `v` is fresh so the edge to any earlier node is new
-        // and in range.
-        g.add_edge(v, u).unwrap();
         endpoints.push(v);
         endpoints.push(u);
     }
-    g
+    from_generated(n, endpoints.as_chunks().0)
 }
 
 #[cfg(test)]

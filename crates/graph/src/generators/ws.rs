@@ -9,6 +9,9 @@ use rand::Rng;
 /// is rewired with probability `beta` to a uniformly random non-duplicate
 /// endpoint.
 ///
+/// Builds with [`Graph::add_edge`], not [`Graph::from_edges`]: rewiring
+/// asks the graph which edges are present as it goes.
+///
 /// # Panics
 /// Panics if `k` is odd, `k >= n`, or `beta` is not a probability.
 pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) -> Graph {

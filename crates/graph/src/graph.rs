@@ -15,6 +15,14 @@
 //! still a real `&[NodeId]` slice but million-node runs stop paying one
 //! heap allocation (and one cache-missing pointer chase) per node.
 //!
+//! A graph whose edges are all known up front is built in one pass by
+//! [`Graph::from_edges`]: it counts every degree, carves each list's
+//! chunk once at its final size ([`AdjPool::with_lists`], whose arena
+//! keeps the spare room the doubling path would have left), writes both
+//! endpoints of every edge and sorts the lists. The generators that only
+//! add edges build this way; edge by edge, each [`Graph::add_edge`]
+//! shifts two sorted lists and moves a list that outgrows its chunk.
+//!
 //! Two side indexes keep an adversary's per-event queries sublinear: a
 //! **degree-bucket index** answers [`Graph::max_degree_node`] /
 //! [`Graph::min_degree_node`] from the extreme bucket instead of an O(n)
@@ -99,7 +107,7 @@ impl DegreeIndex {
             lens[adj[i].len()] += 1;
         }
         let mut pool = AdjPool::default();
-        let mut buckets = pool.reserve(&lens);
+        let mut buckets = pool.reserve(&lens, ChunkRef::default());
         let mut pos = vec![0u32; adj.len()];
         for i in live() {
             let bucket = &mut buckets[adj[i].len()];
@@ -380,6 +388,49 @@ fn select_in_word(mut word: u64, mut r: u32) -> usize {
     base + word.trailing_zeros() as usize
 }
 
+/// Whether [`Graph::add_edge`] rejects `[u, v]` on any graph of `n`
+/// nodes: a self-loop or an id out of range.
+fn rejected_alone(n: usize, [u, v]: [NodeId; 2]) -> bool {
+    u == v || u.index() >= n || v.index() >= n
+}
+
+/// The error the first rejected [`Graph::add_edge`] returns when `edges`
+/// are added in order to [`Graph::new`]`(n)`, for an `edges` that holds
+/// a self-loop, an id `≥ n` or a repeated edge: the earlier of the first
+/// edge invalid on its own and the first repeat of an earlier edge.
+fn first_rejection(n: usize, edges: &[[NodeId; 2]]) -> GraphError {
+    let invalid = edges
+        .iter()
+        .position(|&e| rejected_alone(n, e))
+        .unwrap_or(edges.len());
+    // Sorted by endpoints, then by position, a repeat follows the edge
+    // it repeats.
+    let mut keyed: Vec<(NodeId, NodeId, usize)> = edges[..invalid]
+        .iter()
+        .enumerate()
+        .map(|(i, &[u, v])| (u.min(v), u.max(v), i))
+        .collect();
+    keyed.sort_unstable();
+    let repeat = keyed
+        .windows(2)
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .map(|w| w[1].2)
+        .min();
+    match repeat {
+        Some(i) => GraphError::EdgeExists(edges[i][0], edges[i][1]),
+        None => {
+            let [u, v] = edges[invalid];
+            if u == v {
+                GraphError::SelfLoop(u)
+            } else if u.index() >= n {
+                GraphError::NodeOutOfRange(u)
+            } else {
+                GraphError::NodeOutOfRange(v)
+            }
+        }
+    }
+}
+
 /// The read surface of a graph that the whole-graph algorithms need
 /// ([`connected_components`](crate::components::connected_components),
 /// [`is_connected`](crate::components::is_connected),
@@ -487,6 +538,76 @@ impl Graph {
             live_count: n,
             ..Graph::default()
         }
+    }
+
+    /// Build the graph over `n` live nodes (ids `0..n`) whose edges are
+    /// `edges`, in one pass: the result equals [`Graph::new`] followed by
+    /// [`Graph::add_edge`] over `edges` in order, neighbor list for
+    /// neighbor list.
+    ///
+    /// Every degree is counted first, so each list's chunk is carved
+    /// once, in the smallest size class that holds it, in an arena whose
+    /// capacity is rounded up to the next power of two (see
+    /// [`AdjPool::with_lists`]). Then both endpoints of every edge are
+    /// written, and each list is sorted unless it already is: a
+    /// Barabási–Albert list, say, is its node's own picks followed by
+    /// later ids in increasing order.
+    ///
+    /// # Errors
+    /// Fails, building nothing, with the error that the first rejected
+    /// [`Graph::add_edge`] of that sequence would return:
+    /// [`GraphError::SelfLoop`] for `[v, v]`,
+    /// [`GraphError::NodeOutOfRange`] for an id `≥ n`, and
+    /// [`GraphError::EdgeExists`] for an edge listed before, in either
+    /// orientation.
+    ///
+    /// # Panics
+    /// Panics if the adjacency arena would exceed `u32` offsets.
+    ///
+    /// # Examples
+    /// ```
+    /// use selfheal_graph::{Graph, GraphError, NodeId};
+    ///
+    /// let g = Graph::from_edges(4, &[[NodeId(2), NodeId(0)], [NodeId(0), NodeId(1)]]).unwrap();
+    /// assert_eq!(g.neighbors(NodeId(0)), &[NodeId(1), NodeId(2)]);
+    /// assert_eq!(g.degree(NodeId(3)), 0);
+    /// assert_eq!(
+    ///     Graph::from_edges(2, &[[NodeId(0), NodeId(1)], [NodeId(1), NodeId(0)]]).err(),
+    ///     Some(GraphError::EdgeExists(NodeId(1), NodeId(0)))
+    /// );
+    /// ```
+    pub fn from_edges(n: usize, edges: &[[NodeId; 2]]) -> Result<Graph> {
+        if edges.iter().any(|&e| rejected_alone(n, e)) {
+            return Err(first_rejection(n, edges));
+        }
+        let mut lens = vec![0u32; n];
+        for &[u, v] in edges {
+            lens[u.index()] += 1;
+            lens[v.index()] += 1;
+        }
+        let (mut pool, mut adj) = AdjPool::with_lists(&lens, ChunkRef::LIVE);
+        for &[u, v] in edges {
+            pool.push(&mut adj[u.index()], v);
+            pool.push(&mut adj[v.index()], u);
+        }
+        let increasing = |list: &[NodeId]| list.windows(2).all(|w| w[0] < w[1]);
+        for r in &adj {
+            let list = pool.slice_mut(r);
+            if !increasing(list) {
+                list.sort_unstable();
+                // Sorted but not increasing: some id is listed twice.
+                if !increasing(list) {
+                    return Err(first_rejection(n, edges));
+                }
+            }
+        }
+        Ok(Graph {
+            pool,
+            adj,
+            live_count: n,
+            edge_count: edges.len(),
+            ..Graph::default()
+        })
     }
 
     /// Create an empty graph that will allocate slots lazily via

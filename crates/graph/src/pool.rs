@@ -13,16 +13,24 @@
 //! Freed chunks (node deletions, growth reallocations) go on a per-class
 //! **intrusive free list**: the arena offset of the next free chunk is
 //! stored in the freed chunk's own first slot (every chunk holds ≥ 4
-//! `u32`-sized entries, so the link always fits). Growth is amortized
-//! doubling: a full chunk reallocates into the next class, copies, and
-//! frees the old chunk for reuse. The arena itself never shrinks — its
-//! high-water mark is the peak total adjacency size, and after that
-//! steady-state churn is allocation-free.
+//! `u32`-sized entries, so the link always fits). The list heads are a
+//! fixed array inside the pool, one per size class whose chunk a `u32`
+//! offset can address, so no pool ever allocates for them.
+//! Growth is amortized doubling: a full chunk reallocates into the next
+//! class, copies, and frees the old chunk for reuse. The arena itself
+//! never shrinks — its high-water mark is the peak total adjacency size,
+//! and after that steady-state churn is allocation-free.
 //!
-//! `Graph`'s degree index, once a query has built it, keeps its degree
-//! buckets in a pool of its own: the build sizes every bucket with one
-//! [`AdjPool::reserve`], and later moves append with [`AdjPool::push`]
-//! and remove with [`AdjPool::swap_remove`].
+//! A list whose final length is known up front is carved once instead.
+//! [`AdjPool::reserve`] sizes one chunk per list, each in the smallest
+//! class that holds it, in one arena growth; [`AdjPool::with_lists`]
+//! does the same on a new pool whose arena capacity is rounded up to the
+//! next power of two. That spare room is what the doubling path would
+//! have left: a freshly built graph's first chunk growths carve from it
+//! without reallocating the arena. `Graph::from_edges` builds this way,
+//! and `Graph`'s degree index sizes its buckets with one
+//! [`AdjPool::reserve`], then appends with [`AdjPool::push`] and removes
+//! with [`AdjPool::swap_remove`].
 //!
 //! A [`SmallList`] is the handle for stores whose lists are mostly
 //! short: it holds up to [`INLINE`] values itself and spills a longer
@@ -38,6 +46,10 @@ const NIL: u32 = u32::MAX;
 /// free-list link fits in slot 0; 4 keeps tiny-degree nodes compact
 /// while bounding the class count (`4 << 27` already exceeds `u32` ids).
 const MIN_CAP: u32 = 4;
+
+/// Number of size classes: class `CLASSES - 1` holds `2³¹` values, the
+/// largest power of two a `u32` offset range can address.
+const CLASSES: usize = (u32::BITS - MIN_CAP.trailing_zeros()) as usize;
 
 /// Handle to one node's chunk in an [`AdjPool`].
 ///
@@ -99,13 +111,19 @@ impl ChunkRef {
 }
 
 /// The arena of adjacency chunks. See the module docs for the layout.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct AdjPool {
     /// The single backing allocation for every chunk.
     slots: Vec<NodeId>,
     /// Head of the free list per size class (`NIL` when empty); the next
     /// link of a free chunk lives in its own slot 0.
-    free_heads: Vec<u32>,
+    free_heads: [u32; CLASSES],
+}
+
+impl Default for AdjPool {
+    fn default() -> Self {
+        AdjPool::with_capacity(0)
+    }
 }
 
 /// Capacity of a size class.
@@ -123,15 +141,48 @@ fn class_for(len: usize) -> u8 {
     class
 }
 
+/// The size class of each entry of `lens` (`None` for 0).
+fn chunk_classes(lens: &[u32]) -> impl Iterator<Item = Option<u8>> + '_ {
+    lens.iter()
+        .map(|&len| (len > 0).then(|| class_for(len as usize)))
+}
+
+/// Arena entries that one chunk per entry of `lens` takes.
+///
+/// # Panics
+/// Panics if they exceed the `u32` offset range.
+fn entries_for(lens: &[u32]) -> usize {
+    let total: usize = chunk_classes(lens)
+        .flatten()
+        .map(|class| cap_of(class) as usize)
+        .sum();
+    assert!(total <= NIL as usize, "adjacency arena exceeds u32 offsets");
+    total
+}
+
 impl AdjPool {
-    /// An empty pool with room for `entries` values in its arena, and a
-    /// free-list head for every size class a chunk of that arena can
-    /// have, so it allocates nothing until the arena outgrows `entries`.
+    /// An empty pool with room for `entries` values in its arena, so it
+    /// allocates nothing until the arena outgrows `entries`.
     pub fn with_capacity(entries: usize) -> Self {
         AdjPool {
             slots: Vec::with_capacity(entries),
-            free_heads: vec![NIL; usize::from(class_for(entries)) + 1],
+            free_heads: [NIL; CLASSES],
         }
+    }
+
+    /// A new pool holding one empty chunk per entry of `lens`, as
+    /// [`AdjPool::reserve`] carves them, with the arena's capacity
+    /// rounded up to the next power of two: the spare room lets the
+    /// lists' first growths carve new chunks without reallocating. Lists
+    /// that are all empty leave the arena unallocated.
+    pub fn with_lists(lens: &[u32], empty: ChunkRef) -> (AdjPool, Vec<ChunkRef>) {
+        let entries = match entries_for(lens) {
+            0 => 0,
+            total => total.next_power_of_two(),
+        };
+        let mut pool = AdjPool::with_capacity(entries);
+        let refs = pool.reserve(lens, empty);
+        (pool, refs)
     }
 
     /// The values of a chunk, as one contiguous slice.
@@ -150,13 +201,22 @@ impl AdjPool {
         self.slots.len()
     }
 
+    /// The values of a chunk, mutably.
+    #[inline]
+    pub fn slice_mut(&mut self, r: &ChunkRef) -> &mut [NodeId] {
+        if r.off == NIL {
+            &mut []
+        } else {
+            &mut self.slots[r.off as usize..(r.off + r.len) as usize]
+        }
+    }
+
     /// Pop a free chunk of `class`, or carve a fresh one off the arena.
     fn alloc(&mut self, class: u8) -> u32 {
-        if let Some(&head) = self.free_heads.get(class as usize) {
-            if head != NIL {
-                self.free_heads[class as usize] = self.slots[head as usize].0;
-                return head;
-            }
+        let head = self.free_heads[class as usize];
+        if head != NIL {
+            self.free_heads[class as usize] = self.slots[head as usize].0;
+            return head;
         }
         let off = self.slots.len();
         assert!(
@@ -169,9 +229,6 @@ impl AdjPool {
 
     /// Push a chunk onto its class's free list (intrusive link in slot 0).
     fn free(&mut self, off: u32, class: u8) {
-        if self.free_heads.len() <= class as usize {
-            self.free_heads.resize(class as usize + 1, NIL);
-        }
         self.slots[off as usize] = NodeId(self.free_heads[class as usize]);
         self.free_heads[class as usize] = off;
     }
@@ -210,24 +267,22 @@ impl AdjPool {
     }
 
     /// One empty chunk per entry of `lens`, each of the smallest class
-    /// that holds that many values (the empty handle for 0), carved from
-    /// the arena after growing it once for all of them. Filling a chunk
-    /// with [`AdjPool::push`] up to its length then never moves it.
-    pub fn reserve(&mut self, lens: &[u32]) -> Vec<ChunkRef> {
-        let classes = || {
-            lens.iter()
-                .map(|&len| (len > 0).then(|| class_for(len as usize)))
-        };
-        let total = classes().flatten().map(|class| cap_of(class) as usize);
-        self.slots.reserve(total.sum());
-        classes()
+    /// that holds that many values (no chunk for 0), carved from the
+    /// arena after growing it once for all of them. Each handle starts
+    /// as `empty` with its chunk attached, so it keeps `empty`'s liveness
+    /// flag. Filling a chunk with [`AdjPool::push`] up to its length then
+    /// never moves it.
+    pub fn reserve(&mut self, lens: &[u32], empty: ChunkRef) -> Vec<ChunkRef> {
+        debug_assert!(empty.is_empty(), "a template handle owns no chunk");
+        self.slots.reserve(entries_for(lens));
+        chunk_classes(lens)
             .map(|class| match class {
                 Some(class) => ChunkRef {
                     off: self.alloc(class),
                     class,
-                    ..ChunkRef::default()
+                    ..empty
                 },
-                None => ChunkRef::default(),
+                None => empty,
             })
             .collect()
     }
@@ -504,7 +559,7 @@ mod tests {
     #[test]
     fn reserve_sizes_each_chunk_to_fit_in_one_arena_growth() {
         let mut pool = AdjPool::default();
-        let mut refs = pool.reserve(&[3, 0, 5, 4]);
+        let mut refs = pool.reserve(&[3, 0, 5, 4], ChunkRef::default());
         // Classes 0, none, 1, 0: one arena of 4 + 8 + 4 slots.
         assert_eq!(pool.arena_len(), 4 + 8 + 4);
         assert!(refs[1].is_empty());
@@ -516,6 +571,51 @@ mod tests {
         assert_eq!(pool.arena_len(), 4 + 8 + 4);
         assert_eq!(pool.free_chunk_count(), 0);
         assert_eq!(ids(&pool, &refs[2]), (0..5).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn with_lists_leaves_the_doubling_paths_spare_room() {
+        // Chunks of 4, 8, none, 4 and 16 entries: 32, already a power of
+        // two. One more class-0 list makes 36, whose arena gets room for
+        // 64.
+        let (pool, _) = AdjPool::with_lists(&[0, 0], ChunkRef::LIVE);
+        assert_eq!(pool.slots.capacity(), 0, "no lists, no arena");
+        let (pool, refs) = AdjPool::with_lists(&[3, 5, 0, 4, 9], ChunkRef::LIVE);
+        assert_eq!(pool.arena_len(), 32);
+        assert_eq!(pool.slots.capacity(), 32);
+        assert!(refs.iter().all(ChunkRef::is_live), "the template's flag");
+        assert!(refs[2].is_empty() && refs[2].off == NIL);
+        let (mut pool, mut refs) = AdjPool::with_lists(&[3, 5, 0, 4, 9, 1], ChunkRef::LIVE);
+        assert_eq!(pool.arena_len(), 36);
+        assert_eq!(pool.slots.capacity(), 64);
+        // Filling, then outgrowing, a list carves from the spare room.
+        let arena = pool.slots.as_ptr();
+        for v in 0..9u32 {
+            pool.push(&mut refs[4], NodeId(v));
+        }
+        assert_eq!(pool.arena_len(), 36, "a reserved chunk fills in place");
+        for v in 0..9u32 {
+            pool.push(&mut refs[1], NodeId(v));
+        }
+        assert_eq!(pool.arena_len(), 52);
+        assert_eq!(pool.slots.as_ptr(), arena, "no reallocation");
+        assert_eq!(ids(&pool, &refs[1]), (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_pool_keeps_its_free_list_heads_inline() {
+        // Every class a u32 offset can address has a head: the largest
+        // class's chunk still fits below the NIL offset.
+        assert_eq!(CLASSES, 30);
+        assert!(cap_of(CLASSES as u8 - 1) as usize <= NIL as usize);
+        assert_eq!(u64::from(MIN_CAP) << CLASSES, 1u64 << 32);
+        let mut pool = AdjPool::default();
+        let mut r = ChunkRef::default();
+        for v in 0..100u32 {
+            pool.push(&mut r, NodeId(v));
+        }
+        pool.clear(&mut r);
+        assert_eq!(pool.free_chunk_count(), 6, "classes 0 to 5");
     }
 
     #[test]

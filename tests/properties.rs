@@ -761,3 +761,175 @@ proptest! {
         prop_assert_eq!(degrees, degrees_ref);
     }
 }
+
+/// `Graph::from_edges`, the one-pass build behind the generators, against
+/// `Graph::new` plus one `add_edge` per edge in order.
+mod from_edges {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use selfheal_graph::{generators, Graph, GraphError, NodeId};
+    use std::collections::HashSet;
+
+    /// The reference: [`Graph::new`], then [`Graph::add_edge`] over
+    /// `edges` in order, stopping at the first error.
+    fn incremental(n: usize, edges: &[[NodeId; 2]]) -> Result<Graph, GraphError> {
+        let mut g = Graph::new(n);
+        for &[u, v] in edges {
+            g.add_edge(u, v)?;
+        }
+        Ok(g)
+    }
+
+    /// The two graphs agree on every read: counts, lists, degrees, the
+    /// edge iterator and the degree extremes, and both validate.
+    fn assert_same_graph(g: &Graph, reference: &Graph) -> Result<(), TestCaseError> {
+        prop_assert_eq!(g.validate(), Ok(()));
+        prop_assert_eq!(reference.validate(), Ok(()));
+        prop_assert_eq!(g.node_bound(), reference.node_bound());
+        prop_assert_eq!(g.live_node_count(), reference.live_node_count());
+        prop_assert_eq!(g.edge_count(), reference.edge_count());
+        for v in (0..g.node_bound()).map(NodeId::from_index) {
+            prop_assert_eq!(g.neighbors(v), reference.neighbors(v), "list of {}", v);
+            prop_assert_eq!(g.degree(v), reference.degree(v), "degree of {}", v);
+        }
+        prop_assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            reference.edges().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(g.max_degree_node(), reference.max_degree_node());
+        prop_assert_eq!(g.min_degree_node(), reference.min_degree_node());
+        Ok(())
+    }
+
+    /// The simple edge list of `pairs`: in-range, loop-free pairs, each
+    /// unordered pair kept at its first occurrence in its orientation.
+    fn simple(n: usize, pairs: &[(usize, usize)]) -> Vec<[NodeId; 2]> {
+        let mut seen = HashSet::new();
+        pairs
+            .iter()
+            .filter(|&&(a, b)| a < n && b < n && a != b && seen.insert((a.min(b), a.max(b))))
+            .map(|&(a, b)| [NodeId::from_index(a), NodeId::from_index(b)])
+            .collect()
+    }
+
+    /// A test-only copy of `barabasi_albert` as it was before the
+    /// one-pass build: the same draws, each edge added as it is drawn.
+    fn incremental_ba(n: usize, m: usize, rng: &mut StdRng) -> Graph {
+        let mut g = Graph::new(n);
+        let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * m * n);
+        for i in 0..=m {
+            for j in 0..i {
+                let (u, v) = (NodeId::from_index(i), NodeId::from_index(j));
+                g.add_edge(u, v).unwrap();
+                endpoints.push(u);
+                endpoints.push(v);
+            }
+        }
+        let mut picked: Vec<NodeId> = Vec::with_capacity(m);
+        for i in (m + 1)..n {
+            let v = NodeId::from_index(i);
+            picked.clear();
+            while picked.len() < m {
+                let candidate = endpoints[rng.gen_range(0..endpoints.len())];
+                if !picked.contains(&candidate) {
+                    picked.push(candidate);
+                }
+            }
+            for &u in &picked {
+                g.add_edge(v, u).unwrap();
+                endpoints.push(v);
+                endpoints.push(u);
+            }
+        }
+        g
+    }
+
+    /// A test-only copy of `preferential_attachment_tree` as it was before
+    /// the one-pass build.
+    fn incremental_pa_tree(n: usize, rng: &mut StdRng) -> Graph {
+        let mut g = Graph::new(n);
+        if n <= 1 {
+            return g;
+        }
+        let mut endpoints: Vec<NodeId> = vec![NodeId(0), NodeId(1)];
+        g.add_edge(NodeId(0), NodeId(1)).unwrap();
+        for i in 2..n {
+            let v = NodeId::from_index(i);
+            let u = endpoints[rng.gen_range(0..endpoints.len())];
+            g.add_edge(v, u).unwrap();
+            endpoints.push(v);
+            endpoints.push(u);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random simple lists, isolated nodes and n = 0 and 1 included,
+        /// build the reference's graph.
+        #[test]
+        fn random_simple_lists_build_the_incremental_graph(
+            n in 0usize..40,
+            pairs in prop::collection::vec((0usize..40, 0usize..40), 0..200),
+        ) {
+            let edges = simple(n, &pairs);
+            let g = Graph::from_edges(n, &edges).unwrap();
+            assert_same_graph(&g, &incremental(n, &edges).unwrap())?;
+        }
+
+        /// A simple list with hostile edges spliced in anywhere
+        /// (self-loops, repeats in either orientation, ids out of range)
+        /// fails with the error `add_edge` gives first, without a panic;
+        /// so does a list of raw pairs that may hold any number of them.
+        #[test]
+        fn hostile_lists_fail_as_add_edge_fails(
+            n in 0usize..24,
+            pairs in prop::collection::vec((0usize..26, 0usize..26), 0..60),
+            hostile in prop::collection::vec((0u8..4, 0usize..1000, 0usize..1000), 1..4),
+        ) {
+            let mut edges = simple(n, &pairs);
+            let node = |i: usize| NodeId::from_index(i);
+            for &(kind, at, pick) in &hostile {
+                let edge = match kind {
+                    0 => [node(pick % (n + 2)); 2],
+                    1 | 2 if edges.is_empty() => [node(n), node(0)],
+                    1 => edges[pick % edges.len()],
+                    2 => {
+                        let [u, v] = edges[pick % edges.len()];
+                        [v, u]
+                    }
+                    _ => [node(pick % (n + 1)), node(n + pick % 3)],
+                };
+                edges.insert(at % (edges.len() + 1), edge);
+            }
+            let got = Graph::from_edges(n, &edges).err();
+            prop_assert!(got.is_some(), "{:?} accepted", edges);
+            prop_assert_eq!(got, incremental(n, &edges).err());
+            let raw: Vec<[NodeId; 2]> = pairs.iter().map(|&(a, b)| [node(a), node(b)]).collect();
+            match (Graph::from_edges(n, &raw), incremental(n, &raw)) {
+                (Ok(g), Ok(reference)) => assert_same_graph(&g, &reference)?,
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+
+        /// Barabási–Albert graphs and preferential-attachment trees equal
+        /// the edge-by-edge loop they replaced, node for node.
+        #[test]
+        fn generated_graphs_equal_the_incremental_loop(
+            n in 0usize..400,
+            m in 1usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            if n > m {
+                let g = generators::barabasi_albert(n, m, &mut StdRng::seed_from_u64(seed));
+                let reference = incremental_ba(n, m, &mut StdRng::seed_from_u64(seed));
+                assert_same_graph(&g, &reference)?;
+            }
+            let g = generators::preferential_attachment_tree(n, &mut StdRng::seed_from_u64(seed));
+            let reference = incremental_pa_tree(n, &mut StdRng::seed_from_u64(seed));
+            assert_same_graph(&g, &reference)?;
+        }
+    }
+}
